@@ -1,71 +1,47 @@
-// Versioned detector checkpoint/restore (ISSUE 2).
+// Detector checkpoint/restore: the "HSCK" format.
 //
 // A collector that crashes or restarts must not re-observe weeks of flow
 // history to get back to its detection state: the entire per-(subscriber,
-// service) evidence map — bitmasks, distinct counts, packet totals, first
-// seen and satisfied hours — serializes into a compact binary checkpoint
-// and restores bit-for-bit. The differential suite verifies that a
-// mid-run save → restore → continue produces exactly the evidence masks
-// and detection hours of an uninterrupted run.
+// service) evidence map — bitmasks, packet totals, first-seen and
+// satisfied hours — serializes into a compact binary checkpoint and
+// restores bit-for-bit. The differential suite verifies that a mid-run
+// save → restore → continue produces exactly the evidence masks and
+// detection hours of an uninterrupted run.
 //
-// Format (big-endian, via flow::ByteWriter):
+// Format, version 3 (big-endian, via flow::ByteWriter):
 //
 //   u32  magic   "HSCK" (0x4853434b)
-//   u32  version (kCheckpointVersion)
+//   u32  version (kCheckpointVersion = 3)
 //   u64  threshold, IEEE-754 bit pattern of DetectorConfig::threshold
 //   u64  stats.flows
 //   u64  stats.matched
-//   u64  entry count
-//   entries, sorted by (subscriber, service) for deterministic bytes:
-//     u64 subscriber, u16 service,
-//     u64 mask[0], u64 mask[1], u16 distinct, u64 packets,
-//     u32 first_seen, u32 satisfied_hour
-//
-// Version 2 (ISSUE 6, "interned" checkpoints) inserts a self-contained
-// intern-table section between the entry count's predecessor (stats) and
-// the entries, and keys each evidence row by an interned rule-name handle
-// (u32) instead of the raw u16 service id:
-//
-//   ... header through stats.matched as v1 ...
-//   intern table (core/intern.hpp serialize(): u32 count, then per name
+//   label table (core/intern.hpp serialize(): u32 count, then per label
 //     u16 length + raw bytes, in handle order) — rule names in rule
 //     order, plus "svc/<id>" labels for evidence rows whose service has
 //     no rule
-//   u64  entry count
-//   entries, sorted by (subscriber, service):
-//     u64 subscriber, u32 rule handle, then evidence fields as v1
-//
-// Restore resolves each handle back to a service id through the restoring
-// detector's own rule set (by rule name), so v2 blobs survive service-id
-// renumbering as long as rule names are stable.
-//
-// Version 3 (ISSUE 9, "compact" checkpoints) keeps the v2 header and
-// intern-table sections but groups evidence rows by subscriber and drops
-// per-row fields that are almost always absent at the 15 M-line tier:
-//
-//   ... header + intern table as v2 ...
 //   u64  group count (distinct subscribers, ascending)
-//   per group: u64 subscriber, u32 row count (>= 1), then rows sorted by
-//   (subscriber, service):
-//     u32 rule handle
+//   per group: u64 subscriber, u32 row count (>= 1), then the
+//   subscriber's rows sorted by service:
+//     u32 label handle (index into the label table)
 //     u8  flags: bit0 = mask word 1 present, bit1 = packets written as
 //         u64 (else u32), bit2 = satisfied_hour present
 //     u64 mask[0]; u64 mask[1] when bit0
 //     u32 or u64 packets (canonical width: u64 only when > 0xffffffff)
 //     u16 first_seen; u16 satisfied_hour when bit2
 //
-//   `distinct` is not stored in v3 — it is popcount(mask) by detector
-//   invariant and the packed Evidence derives it on read. Hours are u16
-//   because the study clock is (util::kStudyHours = 336); v1/v2 blobs
-//   carrying hours beyond the packed range are rejected rather than
-//   narrowed.
+// Rows are keyed by rule name, not service id: restore resolves each
+// label through the restoring detector's own rule set, so a blob survives
+// service-id renumbering as long as rule names are stable. `distinct` is
+// not stored — it is popcount(mask) by detector invariant. Hours are u16
+// because the study clock is short (util::kStudyHours = 336).
 //
-// Versioning rule: any change to the byte layout or to the meaning of a
-// field bumps the version; restore accepts exactly versions 1, 2, and 3
-// and rejects anything else (no silent migration — an operator restores
-// with the binary that wrote the checkpoint, or replays). The threshold is
-// embedded because evidence satisfied under one threshold must not seed a
-// detector running another.
+// Restore is strict: it accepts exactly version 3 and rejects any other
+// version (no silent migration — an operator restores with the binary
+// that wrote the checkpoint, or replays), a different threshold (evidence
+// satisfied under one threshold must not seed a detector running
+// another), truncation, trailing bytes, unknown flags, non-canonical
+// field widths, out-of-order groups, and labels the rule set does not
+// know. A rejected blob leaves the detector untouched.
 #pragma once
 
 #include <cstdint>
@@ -82,47 +58,29 @@ namespace haystack::core {
 /// Resolves an interned evidence label back to a service id via `rules`
 /// ("svc/<id>" labels carry the id directly; anything else is a rule
 /// name). Returns false for labels the rule set does not know. Shared by
-/// v2 checkpoint restore and the vantage delta merge (src/vantage/), which
+/// checkpoint restore and the vantage delta merge (src/vantage/), which
 /// must remap evidence keyed by another process's label strings.
 [[nodiscard]] bool resolve_service_label(std::string_view label,
                                          const RuleSet& rules, ServiceId& out);
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4853434bU;  // "HSCK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
-inline constexpr std::uint32_t kCheckpointVersionInterned = 2;
-inline constexpr std::uint32_t kCheckpointVersionCompact = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
-/// Serializes the full evidence state + throughput counters in the v1
-/// (raw service-id) layout. A non-null `recorder` gets a kCheckpointSave
-/// event (a = entries, b = bytes).
-[[nodiscard]] std::vector<std::uint8_t> save_checkpoint(
-    const Detector& detector, obs::FlightRecorder* recorder = nullptr);
-[[nodiscard]] std::vector<std::uint8_t> save_checkpoint(
-    const ShardedDetector& detector, obs::FlightRecorder* recorder = nullptr);
-
-/// Serializes in the v2 layout: evidence rows keyed by interned rule-name
-/// handles, with the intern table embedded in the blob (ISSUE 6).
-[[nodiscard]] std::vector<std::uint8_t> save_checkpoint_interned(
-    const Detector& detector, obs::FlightRecorder* recorder = nullptr);
-[[nodiscard]] std::vector<std::uint8_t> save_checkpoint_interned(
-    const ShardedDetector& detector, obs::FlightRecorder* recorder = nullptr);
-
-/// Serializes in the v3 compact layout: subscriber-grouped rows with
-/// flag-gated optional fields (ISSUE 9) — roughly half the bytes of v2 at
-/// scale while restoring to identical evidence state.
+/// Serializes the full evidence state + throughput counters (see the
+/// format above). Identical state produces identical bytes, whichever
+/// engine or shard count holds it. A non-null `recorder` gets a
+/// kCheckpointSave event (a = entries, b = bytes).
 [[nodiscard]] std::vector<std::uint8_t> save_checkpoint_compact(
     const Detector& detector, obs::FlightRecorder* recorder = nullptr);
 [[nodiscard]] std::vector<std::uint8_t> save_checkpoint_compact(
     const ShardedDetector& detector, obs::FlightRecorder* recorder = nullptr);
 
-/// Restores a checkpoint (v1, v2, or v3) into `detector`, replacing its
-/// evidence state. Returns false — leaving the detector untouched — when
-/// the blob has a wrong magic/version, was written under a different
-/// threshold, is truncated, carries trailing bytes, or (v2) references a
-/// rule name the restoring detector's rule set does not know. `error`,
-/// when non-null, receives a human-readable reason. A non-null `recorder`
-/// gets kCheckpointRestore (a = entries, b = bytes) on success,
-/// kCheckpointRejected (a = bytes) on refusal.
+/// Restores an HSCK v3 blob into `detector`, replacing its evidence state.
+/// Returns false — leaving the detector untouched — on any of the
+/// rejections listed above. `error`, when non-null, receives a
+/// human-readable reason. A non-null `recorder` gets kCheckpointRestore
+/// (a = entries, b = bytes) on success, kCheckpointRejected (a = bytes) on
+/// refusal.
 bool restore_checkpoint(std::span<const std::uint8_t> blob,
                         Detector& detector, std::string* error = nullptr,
                         obs::FlightRecorder* recorder = nullptr);

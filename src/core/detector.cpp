@@ -6,34 +6,44 @@ namespace haystack::core {
 
 Detector::Detector(const Hitlist& hitlist, const RuleSet& rules,
                    const DetectorConfig& config)
-    : hitlist_{&hitlist},
-      compiled_{compile_rules(hitlist, rules, config, /*id=*/1, nullptr,
-                              /*build_index=*/false, nullptr)} {}
+    : compiled_{compile_rules(hitlist, rules, config, /*id=*/1, nullptr,
+                              nullptr)} {}
 
 Detector::Detector(std::shared_ptr<const CompiledRuleVersion> version)
-    : hitlist_{version->hitlist}, compiled_{std::move(version)} {}
+    : compiled_{std::move(version)} {}
 
 void Detector::adopt_version(
     std::shared_ptr<const CompiledRuleVersion> version) {
-  hitlist_ = version->hitlist;
   compiled_ = std::move(version);
 }
 
-void Detector::apply_match(SubscriberKey subscriber, ServiceId service,
-                           std::uint16_t pos, const RuleFast& fast,
-                           std::uint64_t packets, util::HourBin hour) {
+void Detector::update_evidence_gauges() {
+  if (instruments_.evidence_entries) {
+    instruments_.evidence_entries->set(
+        static_cast<std::int64_t>(evidence_.size()));
+  }
+  if (instruments_.evidence_bytes) {
+    instruments_.evidence_bytes->set(
+        static_cast<std::int64_t>(evidence_.memory_bytes()));
+  }
+}
+
+bool Detector::apply_signature(SubscriberKey subscriber, Signature sig,
+                               std::uint64_t packets, util::HourBin hour) {
+  if (sig == kNoSig) return false;
+  const ServiceId service = sig_service(sig);
+  if (service >= compiled_->fast_rules.size() ||
+      !compiled_->fast_rules[service].has_rule) {
+    return true;
+  }
+  const RuleFast& fast = compiled_->fast_rules[service];
+  const std::uint16_t pos = sig_domain_index(sig);
+
   bool inserted = false;
   Evidence& ev = evidence_.find_or_insert(subscriber, service, inserted);
   if (inserted) {
     ev.set_first_seen(hour);
-    if (instruments_.evidence_entries) {
-      instruments_.evidence_entries->set(
-          static_cast<std::int64_t>(evidence_.size()));
-    }
-    if (instruments_.evidence_bytes) {
-      instruments_.evidence_bytes->set(
-          static_cast<std::int64_t>(evidence_.memory_bytes()));
-    }
+    update_evidence_gauges();
   }
   ev.add_packets(packets);
 
@@ -54,6 +64,7 @@ void Detector::apply_match(SubscriberKey subscriber, ServiceId service,
       }
     }
   }
+  return true;
 }
 
 std::optional<Hit> Detector::observe(SubscriberKey subscriber,
@@ -61,50 +72,12 @@ std::optional<Hit> Detector::observe(SubscriberKey subscriber,
                                      std::uint16_t port,
                                      std::uint64_t packets,
                                      util::HourBin hour) {
-  ++stats_.flows;
-  if (instruments_.flows) instruments_.flows->add(1);
-  const auto hit = hitlist_->lookup(server, port, util::day_of(hour));
-  if (!hit) return std::nullopt;
-  ++stats_.matched;
-  if (instruments_.matched) instruments_.matched->add(1);
-
-  const DetectionRule* rule = compiled_->rule_for(hit->service);
-  if (rule == nullptr) return hit;
-
-  apply_match(subscriber, hit->service, hit->domain_index,
-              compiled_->fast_rules[hit->service], packets, hour);
-  return hit;
-}
-
-void Detector::observe_interned(SubscriberKey subscriber, Signature sig,
-                                std::uint64_t packets, util::HourBin hour) {
-  ++stats_.flows;
-  if (instruments_.flows) instruments_.flows->add(1);
-  if (sig == kNoSig) return;
-  ++stats_.matched;
-  if (instruments_.matched) instruments_.matched->add(1);
-
-  const ServiceId service = sig_service(sig);
-  if (service >= compiled_->fast_rules.size() ||
-      !compiled_->fast_rules[service].has_rule) {
-    return;
-  }
-  apply_match(subscriber, service, sig_domain_index(sig),
-              compiled_->fast_rules[service], packets, hour);
-}
-
-bool Detector::observe_interned_uncounted(SubscriberKey subscriber,
-                                          Signature sig,
-                                          std::uint64_t packets,
-                                          util::HourBin hour) {
-  if (sig == kNoSig) return false;
-  const ServiceId service = sig_service(sig);
-  if (service < compiled_->fast_rules.size() &&
-      compiled_->fast_rules[service].has_rule) {
-    apply_match(subscriber, service, sig_domain_index(sig),
-                compiled_->fast_rules[service], packets, hour);
-  }
-  return true;
+  const Signature sig =
+      compiled_->index->sig_of(server, port, util::day_of(hour));
+  const bool matched = apply_signature(subscriber, sig, packets, hour);
+  add_observation_counts(1, matched ? 1 : 0);
+  if (!matched) return std::nullopt;
+  return Hit{sig_service(sig), sig_domain_index(sig)};
 }
 
 void Detector::add_observation_counts(std::uint64_t flows,
@@ -133,10 +106,7 @@ void Detector::restore_evidence(SubscriberKey subscriber, ServiceId service,
                                 const Evidence& evidence) {
   bool inserted = false;
   evidence_.find_or_insert(subscriber, service, inserted) = evidence;
-  if (instruments_.evidence_entries) {
-    instruments_.evidence_entries->set(
-        static_cast<std::int64_t>(evidence_.size()));
-  }
+  update_evidence_gauges();
 }
 
 const Evidence* Detector::evidence(SubscriberKey subscriber,
@@ -153,7 +123,7 @@ void Detector::for_each_evidence(
 
 void Detector::clear() {
   evidence_.clear();
-  if (instruments_.evidence_entries) instruments_.evidence_entries->set(0);
+  update_evidence_gauges();
 }
 
 }  // namespace haystack::core

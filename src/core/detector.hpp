@@ -1,22 +1,26 @@
 // Streaming IoT-device detector (paper Secs. 5/6).
 //
 // Consumes sampled flow observations one at a time: each flow's server-side
-// (IP, port) is looked up in the daily hitlist; a match contributes one
-// piece of evidence — "subscriber S contacted monitored domain m of service
-// X". A service counts as detected for a subscriber once evidence covers
+// (IP, port, day) resolves through the compiled version's SignatureIndex to
+// a packed signature; a match contributes one piece of evidence —
+// "subscriber S contacted monitored domain m of service X". A service
+// counts as detected for a subscriber once evidence covers
 // max(1, floor(D*N)) of its N monitored domains (or its critical domain,
 // when that alone is sufficient), *and* its hierarchy parent is detected
 // (Samsung TV requires Samsung IoT first; Fire TV requires Amazon Product).
 //
-// The detector is deliberately tiny per flow: one hash lookup plus a bitset
+// The detector is deliberately tiny per flow: one index probe plus a bitset
 // update, which is what makes the methodology viable at ISP scale
-// ("millions of IoT devices within minutes").
+// ("millions of IoT devices within minutes"). There is one evidence path:
+// observe() resolves the signature and calls apply_signature(), the same
+// entry point ShardedDetector's workers call with signatures resolved at
+// the enqueue boundary.
 //
-// Rule state is versioned (ISSUE 8): the dispatch tables live in an
-// immutable CompiledRuleVersion the detector holds by shared_ptr, so a
-// hot-reload is one pointer swap (adopt_version) on the owning worker
-// thread — in-flight evidence is retained and every verdict reports the
-// version it was evaluated under.
+// Rule state is versioned: the dispatch tables and the signature index
+// live in an immutable CompiledRuleVersion the detector holds by
+// shared_ptr, so a hot-reload is one pointer swap (adopt_version) on the
+// owning worker thread — in-flight evidence is retained and every verdict
+// reports the version it was evaluated under.
 #pragma once
 
 #include <array>
@@ -62,8 +66,9 @@ struct DetectorInstruments {
 /// The streaming detector.
 class Detector {
  public:
-  /// Compiles `rules` + `config` into version 1. `hitlist`/`rules` must
-  /// outlive the detector (or its next adopt_version, whichever first).
+  /// Compiles `rules` + `config` into version 1, building its signature
+  /// index from `hitlist`. `rules` must outlive the detector (or its next
+  /// adopt_version, whichever first); `hitlist` is only read here.
   Detector(const Hitlist& hitlist, const RuleSet& rules,
            const DetectorConfig& config);
 
@@ -74,15 +79,13 @@ class Detector {
   /// other write, moving is not safe while another thread observes.
   /// Spelled out because the atomic loss estimate is not itself movable.
   Detector(Detector&& other) noexcept
-      : hitlist_{other.hitlist_},
-        compiled_{std::move(other.compiled_)},
+      : compiled_{std::move(other.compiled_)},
         evidence_{std::move(other.evidence_)},
         stats_{other.stats_},
         satisfied_total_{other.satisfied_total_},
         observed_loss_{other.observed_loss()},
         instruments_{std::move(other.instruments_)} {}
   Detector& operator=(Detector&& other) noexcept {
-    hitlist_ = other.hitlist_;
     compiled_ = std::move(other.compiled_);
     evidence_ = std::move(other.evidence_);
     stats_ = other.stats_;
@@ -92,8 +95,8 @@ class Detector {
     return *this;
   }
 
-  /// Hot-reload cutover (ISSUE 8): swaps the compiled rule tables,
-  /// threshold, and hitlist to `version`, keeping all accumulated
+  /// Hot-reload cutover: swaps the compiled rule tables, threshold, and
+  /// signature index to `version`, keeping all accumulated
   /// evidence. Must be called from the thread that owns this detector's
   /// writes (the shard worker, between waves) — it is NOT safe
   /// concurrently with observe paths from other threads.
@@ -106,32 +109,23 @@ class Detector {
   }
 
   /// Feeds one sampled flow observation (already direction-normalized:
-  /// `server`/`port` are the service side). Returns the hitlist match, if
-  /// any — callers use this to avoid a second lookup.
+  /// `server`/`port` are the service side). Resolves it through the
+  /// version's SignatureIndex, counts it, and applies the evidence update.
+  /// Returns the hitlist match, if any — callers use this to avoid a
+  /// second lookup.
   std::optional<Hit> observe(SubscriberKey subscriber,
                              const net::IpAddress& server, std::uint16_t port,
                              std::uint64_t packets, util::HourBin hour);
 
-  /// Interned fast path (ISSUE 6): feeds one observation whose hitlist
-  /// lookup was already resolved to a packed signature at the enqueue
-  /// boundary (`SignatureIndex::sig_of`). `sig == kNoSig` counts the
-  /// flow and returns, exactly like a hitlist miss in observe(). For any
-  /// observation stream, produces bit-identical evidence, stats, and
-  /// instrument bumps to observe() — the differential tier pins this.
-  void observe_interned(SubscriberKey subscriber, Signature sig,
-                        std::uint64_t packets, util::HourBin hour);
+  /// The one evidence update, keyed by a signature already resolved with
+  /// `version()->index->sig_of(...)`. Counts nothing: callers fold flow
+  /// and match totals in with add_observation_counts() (the sharded
+  /// worker loop does so once per wave). Returns whether `sig` matched;
+  /// matches of services without a rule update no evidence.
+  bool apply_signature(SubscriberKey subscriber, Signature sig,
+                       std::uint64_t packets, util::HourBin hour);
 
-  /// Wave-batched variant for the sharded worker loop: applies the
-  /// evidence update for one observation but defers flow/match counting
-  /// to a single add_observation_counts() call per wave (two counter
-  /// updates per wave instead of two per observation). Returns whether
-  /// the signature matched. Final stats and instrument totals are
-  /// bit-identical to the per-observation path.
-  bool observe_interned_uncounted(SubscriberKey subscriber, Signature sig,
-                                  std::uint64_t packets, util::HourBin hour);
-
-  /// Folds wave totals from observe_interned_uncounted() into stats_ and
-  /// the flow/match instruments.
+  /// Folds flow/match totals into stats_ and the flow/match instruments.
   void add_observation_counts(std::uint64_t flows, std::uint64_t matched);
 
   /// Prefetches the evidence slot a future observation will touch (no-op
@@ -230,15 +224,10 @@ class Detector {
   }
 
  private:
-  /// Evidence update shared by observe() and observe_interned(); both
-  /// paths must stay bit-identical (differential tier).
-  void apply_match(SubscriberKey subscriber, ServiceId service,
-                   std::uint16_t pos, const RuleFast& fast,
-                   std::uint64_t packets, util::HourBin hour);
+  /// Sets the evidence-size gauges from the live map (new entries and
+  /// restores both change it).
+  void update_evidence_gauges();
 
-  /// Raw-IP lookup path hitlist; adopt_version retargets it to the new
-  /// version's hitlist (RuleSet owns its hitlist by value).
-  const Hitlist* hitlist_;
   std::shared_ptr<const CompiledRuleVersion> compiled_;
   /// Flat open-addressing table: one cache line per probe on the hot
   /// path (see core/evidence_map.hpp).

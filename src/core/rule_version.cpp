@@ -9,12 +9,10 @@ namespace haystack::core {
 std::shared_ptr<const CompiledRuleVersion> compile_rules(
     const Hitlist& hitlist, const RuleSet& rules,
     const DetectorConfig& config, std::uint64_t id,
-    std::shared_ptr<const RuleSet> owned, bool build_index,
-    InternTable* intern) {
+    std::shared_ptr<const RuleSet> owned, InternTable* intern) {
   auto v = std::make_shared<CompiledRuleVersion>();
   v->id = id;
   v->rules = &rules;
-  v->hitlist = &hitlist;
   v->owned = std::move(owned);
   v->config = config;
 
@@ -38,11 +36,9 @@ std::shared_ptr<const CompiledRuleVersion> compile_rules(
     }
   }
 
-  if (build_index) {
-    auto index = std::make_shared<SignatureIndex>();
-    index->build(hitlist, rules, intern);
-    v->index = std::move(index);
-  }
+  auto index = std::make_shared<SignatureIndex>();
+  index->build(hitlist, rules, intern);
+  v->index = std::move(index);
   return v;
 }
 

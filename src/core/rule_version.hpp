@@ -1,14 +1,15 @@
-// Versioned, precompiled rule state (ISSUE 8 tentpole).
+// Versioned, precompiled rule state.
 //
 // The live control plane hot-reloads rule sets, hitlists, and thresholds
 // while ingest runs. That only works if "the rules" are an immutable value
 // the hot path can hold by pointer: a CompiledRuleVersion bundles one
 // rule set + detector config + the per-service dispatch tables the detect
-// loop reads (rule_of / RuleFast) + the boundary SignatureIndex compiled
-// from that version's hitlist, all tagged with a monotonically increasing
-// version id. Producers and shard workers pass shared_ptrs to these
-// around; a reload builds the next version off the hot path and swaps a
-// pointer — nothing ever mutates a published version.
+// loop reads (rule_of / RuleFast) + the SignatureIndex compiled from that
+// version's hitlist, all tagged with a monotonically increasing version
+// id. Every version owns an index: it is the only structure any detector
+// resolves (IP, port, day) against. Producers and shard workers pass
+// shared_ptrs to these around; a reload builds the next version off the
+// hot path and swaps a pointer — nothing ever mutates a published version.
 //
 // The evaluation helpers (eval_detection_hour / eval_verdict) are the ONE
 // implementation of the hierarchy-aware read path: the live Detector and
@@ -185,18 +186,13 @@ struct CompiledRuleVersion {
   /// pre-reload lifetime contract); for reloaded versions `owned` keeps
   /// it alive.
   const RuleSet* rules = nullptr;
-  /// The daily hitlist raw-IP lookups resolve against — usually
-  /// &rules->hitlist, but the construction-time version honors a
-  /// separately supplied hitlist (the pre-ISSUE-8 constructor contract).
-  const Hitlist* hitlist = nullptr;
   std::shared_ptr<const RuleSet> owned;
   DetectorConfig config{};
   /// Rule pointer per service id for O(1) dispatch (into *rules).
   std::vector<const DetectionRule*> rule_of;
   std::vector<RuleFast> fast_rules;  ///< parallel to rule_of
-  /// Boundary (IP, port, day) -> Signature index compiled from this
-  /// version's hitlist. Null when the version was compiled without one
-  /// (a plain single-shard Detector never consults it).
+  /// (IP, port, day) -> Signature index compiled from the hitlist passed
+  /// to compile_rules(). Never null.
   std::shared_ptr<const SignatureIndex> index;
 
   [[nodiscard]] const DetectionRule* rule_for(ServiceId service) const {
@@ -204,16 +200,15 @@ struct CompiledRuleVersion {
   }
 };
 
-/// Compiles `rules` + `config` into an immutable version. When
-/// `build_index` is set, also compiles the SignatureIndex from `hitlist`
-/// and interns rule/domain labels into `intern` (which may be null).
+/// Compiles `rules` + `config` into an immutable version, including the
+/// SignatureIndex built from `hitlist` (usually rules.hitlist; only read
+/// here). Rule/domain labels are interned into `intern` when non-null.
 /// `owned` carries ownership for reloaded sets and may be null for the
 /// construction-time version (caller guarantees lifetime).
 [[nodiscard]] std::shared_ptr<const CompiledRuleVersion> compile_rules(
     const Hitlist& hitlist, const RuleSet& rules,
     const DetectorConfig& config, std::uint64_t id,
-    std::shared_ptr<const RuleSet> owned, bool build_index,
-    InternTable* intern);
+    std::shared_ptr<const RuleSet> owned, InternTable* intern);
 
 /// Hierarchy-aware detection over any evidence map: the hour at which the
 /// service and all of its ancestors were satisfied for this subscriber,

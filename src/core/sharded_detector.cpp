@@ -16,7 +16,7 @@ ShardedDetector::ShardedDetector(const Hitlist& hitlist, const RuleSet& rules,
   // Compile version 1: the boundary signature index, the rule-name intern
   // table, and the per-service dispatch tables, shared by every shard.
   auto v1 = compile_rules(hitlist, rules, config, /*id=*/1, nullptr,
-                          /*build_index=*/true, &intern_);
+                          &intern_);
   version_.store(v1);
   if (obs != nullptr) {
     sig_lookups_ = obs->registry.counter("signature_lookups_total");
@@ -144,10 +144,9 @@ void ShardedDetector::handle_wave(unsigned s, std::vector<Chunk>& wave) {
         det.prefetch_evidence(ahead.subscriber, ahead.sig);
       }
       const InternedObs& o = chunk.items[i];
-      matched += det.observe_interned_uncounted(o.subscriber, o.sig,
-                                                o.packets, o.hour)
-                     ? 1U
-                     : 0U;
+      matched +=
+          det.apply_signature(o.subscriber, o.sig, o.packets, o.hour) ? 1U
+                                                                      : 0U;
     }
     ++ws.applied_chunks;
     ws.applied_obs += count;
@@ -361,8 +360,7 @@ std::uint64_t ShardedDetector::reload_rules(
   // intern-table deltas (thread-safe, append-only, stable handles) run
   // without pending_mu_, so producers never stall on a reload.
   const RuleSet& r = *rules;
-  auto v = compile_rules(r.hitlist, r, config, id, rules,
-                         /*build_index=*/true, &intern_);
+  auto v = compile_rules(r.hitlist, r, config, id, rules, &intern_);
   {
     std::lock_guard lock{pending_mu_};
     // Flush everything appended under the pre-reload version first (the

@@ -1,43 +1,46 @@
 // Sharded, thread-parallel detector with a persistent worker pool and an
-// epoch-published read side (ISSUE 8).
+// epoch-published read side.
 //
-// The per-flow work is one hash lookup plus a bitset update, so a single
-// core already absorbs an ISP's sampled flow volume (see bench/
-// perf_pipeline). For headroom — or for replaying weeks of archived flows
-// "within minutes" — the detector shards by subscriber: evidence for one
-// subscriber lives in exactly one shard, shards share the immutable
-// compiled rule version, and each shard owns a long-lived worker thread
-// consuming its own bounded queue of observation chunks
-// (pipeline::ShardPool). Batches stream through persistent workers
-// instead of spawning threads per batch, enqueue_batch() lets an upstream
-// pipeline stage keep feeding without a barrier, and blocking
-// backpressure bounds memory when producers outrun the shards.
+// The per-flow work is one index probe plus a bitset update, so a single
+// core already absorbs an ISP's sampled flow volume. For headroom — or for
+// replaying weeks of archived flows "within minutes" — the detector shards
+// by subscriber: evidence for one subscriber lives in exactly one shard,
+// shards share the immutable compiled rule version, and each shard owns a
+// long-lived worker thread consuming its own bounded queue of observation
+// chunks (pipeline::ShardPool). Batches stream through persistent workers,
+// enqueue_batch() lets an upstream pipeline stage keep feeding without a
+// barrier, and blocking backpressure bounds memory when producers outrun
+// the shards.
+//
+// Lookup: producers resolve each observation to a packed Signature with
+// the current version's SignatureIndex before enqueueing (misses are
+// counted and dropped there), and workers apply it with
+// Detector::apply_signature — the same evidence update Detector::observe
+// runs, so a ShardedDetector and a Detector fed the same stream hold
+// identical evidence.
 //
 // Ordering contract: observations for one subscriber always route to the
 // same shard queue (FIFO, single consumer), so per-subscriber relative
 // order — and therefore the evidence bits — is identical to a sequential
 // replay, for any shard count, queue capacity, or batching.
 //
-// Read side (ISSUE 8): reads no longer drain the whole pipeline. Each
-// worker publishes immutable ShardViews into a ViewHub at wave
-// boundaries; live_views() grabs them wait-free, and fresh_view() rides a
-// publish token through the owning shard's queue so the returned view
-// covers everything enqueued before the call — the same visibility the
-// old drain-on-read contract gave, without quiescing any other shard or
-// blocking producers. The synchronous accessors (detected/verdict/
-// detection_hour/stats/for_each_evidence) now route through fresh views;
-// their old behavior — an implicit full drain() of every shard queue on
-// every read — is deprecated and gone. drain() itself remains for
+// Read side: reads never drain the whole pipeline. Each worker publishes
+// immutable ShardViews into a ViewHub at wave boundaries; live_views()
+// grabs them wait-free, and fresh_view() rides a publish token through the
+// owning shard's queue so the returned view covers everything enqueued
+// before the call, without quiescing any other shard or blocking
+// producers. The synchronous accessors (detected/verdict/detection_hour/
+// stats/for_each_evidence) route through fresh views. drain() remains for
 // process_batch() and pipeline shutdown barriers.
 //
-// Rule hot-reload (ISSUE 8): reload_rules() compiles the next
-// CompiledRuleVersion off the hot path (new SignatureIndex, InternTable
-// deltas appended — the table is thread-safe and handles are stable),
-// then atomically swaps the producer-side current version. Chunks are
-// tagged with the version current at submit time, so each chunk is
-// applied under exactly one version, per-shard applied versions are
-// monotone (in-flight waves finish on the old version, the cutover token
-// then flips the shard), and producers never stall.
+// Rule hot-reload: reload_rules() compiles the next CompiledRuleVersion
+// off the hot path (new SignatureIndex, InternTable deltas appended — the
+// table is thread-safe and handles are stable), then atomically swaps the
+// producer-side current version. Chunks are tagged with the version
+// current at submit time, so each chunk is applied under exactly one
+// version, per-shard applied versions are monotone (in-flight waves finish
+// on the old version, the cutover token then flips the shard), and
+// producers never stall.
 #pragma once
 
 #include <atomic>
@@ -108,8 +111,9 @@ class ShardedDetector {
       std::function<void(const ShardView* prev, const ShardView& now)>;
 
   /// `shards` worker partitions (>= 1), each with its own bounded chunk
-  /// queue of `queue_capacity` entries. Shares `hitlist`/`rules` which
-  /// must outlive the detector (or its first reload_rules()). When `obs`
+  /// queue of `queue_capacity` entries. `hitlist` is only read to build
+  /// the signature index; `rules` must outlive the detector (or its first
+  /// reload_rules()). When `obs`
   /// is non-null, each shard gets per-shard registry instruments (labels
   /// {{"shard", N}}) including its own detect-stage wave histograms, and
   /// the shard pool records backpressure/slow-wave flight events.
@@ -268,17 +272,11 @@ class ShardedDetector {
   [[nodiscard]] telemetry::StageStats shard_queue_stats(
       unsigned shard) const;
 
-  /// The current version's precompiled (IP, port, day) -> Signature
-  /// index. The reference is invalidated by the next reload_rules();
-  /// streaming producers should hold current_version() per wave instead.
-  [[nodiscard]] const SignatureIndex& signature_index() const noexcept {
-    return *current_version()->index;
-  }
-
   /// Rule-name / monitored-domain-label intern table populated by the
-  /// signature-index builds (HSCK v2 keys evidence rows through it).
-  /// Append-only across reloads: handles stay stable, deltas are
-  /// interned without stalling producers (the table is thread-safe).
+  /// signature-index builds. Append-only across reloads: handles stay
+  /// stable, deltas are interned without stalling producers (the table is
+  /// thread-safe). Checkpoints do not key rows through it: an HSCK blob
+  /// embeds its own label table.
   [[nodiscard]] const InternTable& intern_table() const noexcept {
     return intern_;
   }

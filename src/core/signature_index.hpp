@@ -1,15 +1,17 @@
-// Precompiled signature index (ISSUE 6 tentpole): maps (service IP, port,
-// day) to a packed u32 detection signature at the decode/enqueue
-// boundary, so shard workers never hash a 128-bit address or touch the
-// hitlist's node-based maps on the hot path.
+// Precompiled signature index: maps (service IP, port, day) to a packed
+// u32 detection signature. It is the only per-flow matcher: every
+// detector path — Detector::observe, ShardedDetector's enqueue boundary,
+// the pipeline normalizer — resolves flows through it, and the Hitlist it
+// is built from is never probed per flow (ReferenceDetector, the test
+// oracle, is the one exception).
 //
 // Layout:
 //   - Service endpoints (the hitlist's (IP, port) universe) are interned
 //     to dense u32 endpoint ids at build time. IPv4 endpoints live in a
 //     flat open-addressing table keyed (addr << 16) | port — one
 //     multiplicative hash + usually one probe. IPv6 endpoints route
-//     through the existing net::PrefixTrie (/128 entries, so the
-//     longest-prefix match is exact) to a per-address port list.
+//     through net::PrefixTrie (/128 entries, so the longest-prefix match
+//     is exact) to a per-address port list.
 //   - Signatures live in a dense day-major table sig[day * stride + id],
 //     each packing the hitlist Hit as (service << 16) | domain_index.
 //     kNoSig marks (endpoint, day) pairs the hitlist does not cover —
@@ -20,9 +22,8 @@
 // call concurrently from any number of producer threads.
 //
 // build() also interns each rule's name and monitored-domain labels into
-// an InternTable (when provided): rule names in rule order, so the
-// handle space is dense and HSCK v2 checkpoints can key evidence rows by
-// interned rule id instead of raw catalog position.
+// an InternTable (when provided), rule names first in rule order so the
+// live handle space is dense and reproducible.
 #pragma once
 
 #include <cstdint>

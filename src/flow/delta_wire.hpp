@@ -1,11 +1,11 @@
-// Evidence-delta wire format for the multi-vantage collector fleet
-// (ISSUE 7): the datagrams a vantage collector ships to the aggregator.
+// Evidence-delta wire format for the multi-vantage collector fleet: the
+// "HSVD" datagrams a vantage collector ships to the aggregator.
 //
 // The format is a sibling of the HSCK checkpoint (core/checkpoint): the
-// same big-endian ByteWriter primitives, the same label-table idea as the
-// v2 "interned" checkpoint — but where a checkpoint is a full, private
-// snapshot, a delta is a *per-epoch diff of cumulative state*, built to
-// survive an unreliable channel:
+// same big-endian ByteWriter primitives and the same label-table idea —
+// but where a checkpoint is a full, private snapshot, a delta is a
+// *per-epoch diff of cumulative state*, built to survive an unreliable
+// channel:
 //
 //   - Rows carry the emitting collector's CUMULATIVE evidence for each
 //     (subscriber, label) it touched during the epoch — cumulative mask,
@@ -26,10 +26,10 @@
 //     satisfied_hour itself when it seals an epoch, which is what keeps
 //     the merged map bit-for-bit equal to a single-process detector.
 //
-// Layout (big-endian):
+// Layout, version 2 (big-endian):
 //
 //   u32  magic   "HSVD" (0x48535644)
-//   u32  version (kDeltaVersion)
+//   u32  version (kDeltaVersion = 2)
 //   u32  collector id
 //   u32  seq     transmission sequence number (retransmissions reuse the
 //                original seq, so the aggregator's SequenceTracker
@@ -45,17 +45,8 @@
 //   u64  matched collector-cumulative hitlist-match count
 //   u32  label count, then per label: u16 length + raw bytes
 //   u64  row count
-//   rows, sorted by (subscriber, service) at the emitter so identical
-//   state produces identical bytes:
-//     u64 subscriber, u32 label index,
-//     u64 mask[0], u64 mask[1], u64 packets, u32 first_seen
-//
-// Version 2 (ISSUE 9, "compact" rows) keeps the entire header and label
-// table and changes only the row encoding: each row spends a flag byte to
-// drop the second mask word (rarely nonzero — the catalog maximum is 34
-// monitored domains) and to narrow the cumulative packet counter:
-//
-//   rows (v2), same sort order:
+//   rows, sorted by (subscriber, label) at the emitter so identical state
+//   produces identical bytes:
 //     u64 subscriber, u32 label index
 //     u8  flags: bit0 = mask[1] present, bit1 = packets written as u64
 //         (canonical: u64 only when the value exceeds 0xffffffff)
@@ -63,13 +54,12 @@
 //     u32 or u64 packets
 //     u32 first_seen
 //
-// decode_delta() is strict: wrong magic/version/kind, label indices out
-// of range, counts the buffer cannot hold, truncation, trailing bytes, or
-// (v2) non-canonical field widths all reject the datagram (the
-// structure-aware fuzzer in tests/fuzz/fuzz_vantage_delta.cpp hammers
-// exactly these guards), and a successful decode re-encodes to
-// byte-identical input — the decoded `version` field keeps v1 datagrams
-// re-encoding as v1.
+// decode_delta() is strict: wrong magic, any version but 2, an unknown
+// kind, label indices out of range, counts the buffer cannot hold,
+// truncation, trailing bytes, unknown flags, or non-canonical field
+// widths all reject the datagram (the structure-aware fuzzer in
+// tests/fuzz/fuzz_vantage_delta.cpp hammers exactly these guards), and a
+// successful decode re-encodes to byte-identical input.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +70,7 @@
 namespace haystack::flow {
 
 inline constexpr std::uint32_t kDeltaMagic = 0x48535644U;  // "HSVD"
-inline constexpr std::uint32_t kDeltaVersion = 1;
-inline constexpr std::uint32_t kDeltaVersionCompact = 2;
+inline constexpr std::uint32_t kDeltaVersion = 2;
 
 enum class DeltaKind : std::uint8_t {
   kDelta = 0,     ///< evidence touched during one epoch (cumulative rows)
@@ -101,10 +90,6 @@ struct DeltaRow {
 
 /// A decoded delta (or snapshot) message.
 struct EvidenceDelta {
-  /// Wire version this message encodes to (and, after decode_delta, the
-  /// version it arrived as — re-encoding a decoded message reproduces the
-  /// original bytes). New emitters default to the compact v2 rows.
-  std::uint32_t version = kDeltaVersionCompact;
   std::uint32_t collector = 0;
   std::uint32_t seq = 0;
   std::uint32_t epoch = 0;

@@ -1,5 +1,6 @@
 #include "flow/template_plan.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/ip_address.hpp"
@@ -166,7 +167,12 @@ std::size_t execute(const CompiledPlan& plan,
   const std::size_t rec_len = plan.record_len;
   const std::size_t count = body.size() / rec_len;
   if (count == 0) return 0;
-  out.reserve(out.size() + count);
+  // Grow geometrically: callers append many datagrams into one batch, and
+  // an exact reserve per datagram would reallocate on every append.
+  const std::size_t need = out.size() + count;
+  if (need > out.src.capacity()) {
+    out.reserve(std::max(need, 2 * out.src.capacity()));
+  }
   const std::uint8_t* base = body.data();
   for (std::size_t i = 0; i < count; ++i, base += rec_len) {
     const std::size_t row = out.append_defaults();

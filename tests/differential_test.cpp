@@ -315,10 +315,10 @@ TEST_P(DifferentialTest, CheckpointRestoreMatchesUninterruptedRun) {
     first_half.observe(obs.subscriber, obs.server, obs.port, obs.packets,
                        obs.hour);
   }
-  const auto blob = save_checkpoint(first_half);
+  const auto blob = save_checkpoint_compact(first_half);
   // Same state serializes to identical bytes (hash-map order must not
   // leak into the checkpoint).
-  ASSERT_EQ(save_checkpoint(first_half), blob);
+  ASSERT_EQ(save_checkpoint_compact(first_half), blob);
 
   Detector resumed{sc.rules.hitlist, sc.rules, sc.config};
   ASSERT_TRUE(restore_checkpoint(blob, resumed));
@@ -345,7 +345,8 @@ TEST_P(DifferentialTest, CheckpointRestoreMatchesUninterruptedRun) {
         << "shards=" << shards;
     // And a sharded detector's own checkpoint bytes equal the flat
     // detector's for identical state.
-    EXPECT_EQ(save_checkpoint(sharded), save_checkpoint(resumed))
+    EXPECT_EQ(save_checkpoint_compact(sharded),
+              save_checkpoint_compact(resumed))
         << "shards=" << shards;
   }
 }
@@ -356,7 +357,7 @@ TEST(CheckpointTest, RejectsCorruptAndMismatchedBlobs) {
   for (const auto& obs : sc.stream) {
     det.observe(obs.subscriber, obs.server, obs.port, obs.packets, obs.hour);
   }
-  const auto blob = save_checkpoint(det);
+  const auto blob = save_checkpoint_compact(det);
   const auto rows = snapshot(det);
 
   const auto expect_rejected = [&](std::vector<std::uint8_t> bad,
@@ -378,9 +379,12 @@ TEST(CheckpointTest, RejectsCorruptAndMismatchedBlobs) {
     bad[0] ^= 0xff;
     expect_rejected(std::move(bad), "magic");
   }
-  {
+  // Only HSCK v3 restores: the retired v1/v2 layouts and any future
+  // version are refused (big-endian u32 version after the u32 magic).
+  ASSERT_EQ(blob[7], 3);
+  for (const std::uint8_t version : {0, 1, 2, 4, 0xff}) {
     auto bad = blob;
-    bad[7] ^= 0x01;  // version low byte
+    bad[7] = version;
     expect_rejected(std::move(bad), "version");
   }
   {

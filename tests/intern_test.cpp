@@ -3,12 +3,13 @@
 // The interning layer is the contract everything past the decode boundary
 // leans on: dense u32 handles, stable across rehash for the table's
 // lifetime, name() views that never dangle, and lossless round-trips
-// through the HSCK v2 checkpoint format. These tests pin each clause,
+// through the HSCK v3 checkpoint format's embedded label table. These tests pin each clause,
 // including the degenerate regimes — a million distinct domains (far past
 // every rehash threshold) and adversarial serialize() images (truncation,
 // duplicates, trailing garbage).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "core/detector.hpp"
 #include "core/intern.hpp"
 #include "core/sharded_detector.hpp"
+#include "flow/wire.hpp"
 
 namespace haystack::core {
 namespace {
@@ -175,7 +177,7 @@ TEST(InternTable, RestoreRejectsMalformedImages) {
 }
 
 // ---------------------------------------------------------------------------
-// HSCK v2: evidence keyed by interned rule handles, intern table embedded.
+// HSCK v3: evidence keyed by interned rule handles, label table embedded.
 
 struct Fixture {
   RuleSet rules;
@@ -228,56 +230,50 @@ std::vector<EvidenceRow> snapshot(const DetectorT& det) {
   return rows;
 }
 
-TEST(CheckpointInterned, V2RoundTripsThroughInternedHandles) {
+TEST(CheckpointInterned, V3RoundTripsThroughInternedHandles) {
   const Fixture fx;
   Detector det{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(det);
   const auto rows = snapshot(det);
 
-  const auto v1 = save_checkpoint(det);
-  const auto v2 = save_checkpoint_interned(det);
-  ASSERT_NE(v1, v2);
-  // Version fields: header is u32 magic then u32 version, big-endian.
-  EXPECT_EQ(v1[7], 1);
-  EXPECT_EQ(v2[7], 2);
+  const auto blob = save_checkpoint_compact(det);
+  // Header is u32 magic then big-endian u32 version.
+  EXPECT_EQ(blob[7], 3);
   // Deterministic bytes for identical state.
-  EXPECT_EQ(save_checkpoint_interned(det), v2);
+  EXPECT_EQ(save_checkpoint_compact(det), blob);
 
-  Detector from_v1{fx.rules.hitlist, fx.rules, fx.config};
-  Detector from_v2{fx.rules.hitlist, fx.rules, fx.config};
-  ASSERT_TRUE(restore_checkpoint(v1, from_v1));
-  ASSERT_TRUE(restore_checkpoint(v2, from_v2));
-  EXPECT_EQ(snapshot(from_v1), rows);
-  EXPECT_EQ(snapshot(from_v2), rows);
-  EXPECT_EQ(from_v2.stats().flows, det.stats().flows);
-  EXPECT_EQ(from_v2.stats().matched, det.stats().matched);
+  Detector restored{fx.rules.hitlist, fx.rules, fx.config};
+  ASSERT_TRUE(restore_checkpoint(blob, restored));
+  EXPECT_EQ(snapshot(restored), rows);
+  EXPECT_EQ(restored.stats().flows, det.stats().flows);
+  EXPECT_EQ(restored.stats().matched, det.stats().matched);
 }
 
-TEST(CheckpointInterned, ShardedV2MatchesFlatAndRepartitions) {
+TEST(CheckpointInterned, ShardedV3MatchesFlatAndRepartitions) {
   const Fixture fx;
   Detector flat{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(flat);
 
   for (const unsigned shards : {1u, 4u}) {
     ShardedDetector sharded{fx.rules.hitlist, fx.rules, fx.config, shards};
-    ASSERT_TRUE(restore_checkpoint(save_checkpoint_interned(flat), sharded));
+    ASSERT_TRUE(restore_checkpoint(save_checkpoint_compact(flat), sharded));
     EXPECT_EQ(snapshot(sharded), snapshot(flat)) << "shards=" << shards;
-    // Identical state serializes to identical v2 bytes regardless of the
+    // Identical state serializes to identical bytes regardless of the
     // engine or partitioning that holds it.
-    EXPECT_EQ(save_checkpoint_interned(sharded),
-              save_checkpoint_interned(flat))
+    EXPECT_EQ(save_checkpoint_compact(sharded), save_checkpoint_compact(flat))
         << "shards=" << shards;
   }
 }
 
-TEST(CheckpointInterned, V2SurvivesServiceRenumbering) {
+TEST(CheckpointInterned, V3SurvivesServiceRenumbering) {
   // The point of keying by rule *name*: a catalog that renumbers its
-  // services (here: reversed ids) still restores v2 evidence onto the
-  // right rules, where a v1 blob would attach it to the wrong ones.
+  // services (here: reversed ids) still restores evidence onto the right
+  // rules, where a blob keyed by raw service id would attach it to the
+  // wrong ones.
   const Fixture fx;
   Detector det{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(det);
-  const auto v2 = save_checkpoint_interned(det);
+  const auto blob = save_checkpoint_compact(det);
 
   Fixture renumbered;
   renumbered.rules.rules.clear();
@@ -295,7 +291,7 @@ TEST(CheckpointInterned, V2SurvivesServiceRenumbering) {
   }
   Detector target{renumbered.rules.hitlist, renumbered.rules,
                   renumbered.config};
-  ASSERT_TRUE(restore_checkpoint(v2, target));
+  ASSERT_TRUE(restore_checkpoint(blob, target));
 
   // Evidence that lived on "vendor-K" (old id K) must now sit on the
   // renumbered id 3-K.
@@ -308,11 +304,24 @@ TEST(CheckpointInterned, V2SurvivesServiceRenumbering) {
   EXPECT_EQ(snapshot(target), expected);
 }
 
-TEST(CheckpointInterned, V2RejectsUnknownRulesAndCorruptTables) {
+// The header every HSCK version shares: magic, version, threshold bits,
+// flows, matched.
+std::vector<std::uint8_t> hsck_header(std::uint32_t version, double threshold,
+                                      const Detector::Stats& stats) {
+  flow::ByteWriter w;
+  w.u32(kCheckpointMagic);
+  w.u32(version);
+  w.u64(std::bit_cast<std::uint64_t>(threshold));
+  w.u64(stats.flows);
+  w.u64(stats.matched);
+  return w.take();
+}
+
+TEST(CheckpointInterned, V3RejectsUnknownRulesAndCorruptTables) {
   const Fixture fx;
   Detector det{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(det);
-  const auto v2 = save_checkpoint_interned(det);
+  const auto v3 = save_checkpoint_compact(det);
 
   const auto expect_rejected = [&](std::span<const std::uint8_t> bad,
                                    const char* what) {
@@ -337,25 +346,65 @@ TEST(CheckpointInterned, V2RejectsUnknownRulesAndCorruptTables) {
   }
   Detector stranger{strangers.hitlist, strangers, fx.config};
   std::string error;
-  EXPECT_FALSE(restore_checkpoint(v2, stranger, &error));
+  EXPECT_FALSE(restore_checkpoint(v3, stranger, &error));
   EXPECT_FALSE(error.empty());
 
   {
-    auto bad = v2;
+    auto bad = v3;
     bad.resize(bad.size() - 1);
     expect_rejected(bad, "truncated");
   }
   {
-    auto bad = v2;
+    auto bad = v3;
     bad.push_back(0);
     expect_rejected(bad, "trailing");
   }
   {
-    // Corrupt the intern-table count (first field after the 40-byte
+    // Corrupt the intern-table count (first field after the 32-byte
     // header+stats prefix): entries can no longer parse coherently.
-    auto bad = v2;
+    auto bad = v3;
     bad[32 + 3] ^= 0x7f;
     expect_rejected(bad, "corrupt intern count");
+  }
+  {
+    // A well-formed blob in the retired v1 layout: one row keyed by raw
+    // service id (u64 subscriber, u16 service, u64 mask x2, u16 distinct,
+    // u64 packets, u32 first_seen, u32 satisfied_hour).
+    auto v1 = hsck_header(1, fx.config.threshold, det.stats());
+    flow::ByteWriter w;
+    w.u64(1);
+    w.u64(7);
+    w.u16(2);
+    w.u64(0x3);
+    w.u64(0);
+    w.u16(2);
+    w.u64(10);
+    w.u32(4);
+    w.u32(Evidence::kNever);
+    const auto rows = w.take();
+    v1.insert(v1.end(), rows.begin(), rows.end());
+    expect_rejected(v1, "HSCK v1");
+  }
+  {
+    // A well-formed blob in the retired v2 layout: the embedded label
+    // table, then one row keyed by label handle with v1's fields.
+    auto v2 = hsck_header(2, fx.config.threshold, det.stats());
+    InternTable table;
+    table.intern("vendor-2");
+    table.serialize(v2);
+    flow::ByteWriter w;
+    w.u64(1);
+    w.u64(7);
+    w.u32(0);
+    w.u64(0x3);
+    w.u64(0);
+    w.u16(2);
+    w.u64(10);
+    w.u32(4);
+    w.u32(Evidence::kNever);
+    const auto rows = w.take();
+    v2.insert(v2.end(), rows.begin(), rows.end());
+    expect_rejected(v2, "HSCK v2");
   }
 }
 

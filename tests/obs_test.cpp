@@ -592,7 +592,7 @@ TEST(CheckpointObsTest, SaveRestoreAndRejectionRecordFlightEvents) {
   }
 
   obs::FlightRecorder rec{64};
-  auto blob = core::save_checkpoint(det, &rec);
+  auto blob = core::save_checkpoint_compact(det, &rec);
   std::string error;
   ASSERT_TRUE(core::restore_checkpoint(blob, det, &error, &rec)) << error;
   auto bad = blob;
@@ -607,6 +607,47 @@ TEST(CheckpointObsTest, SaveRestoreAndRejectionRecordFlightEvents) {
   EXPECT_EQ(events[0].a, events[1].a);  // same entry count both ways
   EXPECT_EQ(events[0].b, blob.size());
   EXPECT_GT(events[0].a, 0u);
+}
+
+std::int64_t gauge_sum(const obs::MetricRegistry& registry,
+                       const std::string& name) {
+  std::int64_t sum = 0;
+  for (const auto& sample : registry.snapshot()) {
+    if (sample.name == name) sum += sample.gauge;
+  }
+  return sum;
+}
+
+TEST(CheckpointObsTest, RestoreRefreshesEvidenceGauges) {
+  // A collector restored from a checkpoint must report its evidence
+  // footprint right away, not 0 bytes until its next new entry.
+  const auto rules = four_domain_rules();
+  const core::DetectorConfig config{.threshold = 1.0};
+  obs::Observability source_obs;
+  core::ShardedDetector source{rules.hitlist, rules, config, 2, 1024,
+                               &source_obs};
+  std::vector<core::Observation> batch;
+  for (core::SubscriberKey sub = 1; sub <= 3000; ++sub) {
+    batch.push_back({.subscriber = sub,
+                     .server = net::IpAddress::v4(0x0a010000U + sub % 4),
+                     .port = 443,
+                     .packets = 1,
+                     .hour = 1});
+  }
+  source.process_batch(batch);
+  const auto blob = core::save_checkpoint_compact(source);
+
+  obs::Observability target_obs;
+  core::ShardedDetector target{rules.hitlist, rules, config, 2, 1024,
+                               &target_obs};
+  std::string error;
+  ASSERT_TRUE(core::restore_checkpoint(blob, target, &error)) << error;
+
+  const auto bytes = gauge_sum(source_obs.registry, "detector_evidence_bytes");
+  EXPECT_GT(bytes, 0);
+  EXPECT_EQ(gauge_sum(target_obs.registry, "detector_evidence_bytes"), bytes);
+  EXPECT_EQ(gauge_sum(target_obs.registry, "detector_evidence_entries"),
+            gauge_sum(source_obs.registry, "detector_evidence_entries"));
 }
 
 // --- Deterministic flight-recorder replay of the fleet fault scenario ------

@@ -330,10 +330,13 @@ TEST(ScaleCheckpoint, V3RestoresIdenticalStateAndIsSmaller) {
   const auto rows = evidence_rows(det);
   ASSERT_FALSE(rows.empty());
 
-  const auto v2 = core::save_checkpoint_interned(det);
   const auto v3 = core::save_checkpoint_compact(det);
   EXPECT_EQ(v3[7], 3);  // u32 magic, then big-endian u32 version
-  EXPECT_LT(v3.size(), v2.size());
+  // The whole blob, label table included, is smaller than the header
+  // plus the rows alone of the fixed-width format it replaced (u64
+  // subscriber, u32 label, 2 x u64 mask, u16 distinct, u64 packets,
+  // 2 x u32 hours = 54 bytes per row).
+  EXPECT_LT(v3.size(), 32 + rows.size() * 54);
   EXPECT_EQ(core::save_checkpoint_compact(det), v3);  // deterministic
 
   core::Detector restored{fx.rules.hitlist, fx.rules, fx.config};
@@ -374,9 +377,8 @@ TEST(ScaleCheckpoint, V3RejectsTruncationAndTrailingBytes) {
   EXPECT_TRUE(evidence_rows(target).empty());
 }
 
-flow::EvidenceDelta sample_delta(std::uint32_t version) {
+flow::EvidenceDelta sample_delta() {
   flow::EvidenceDelta delta;
-  delta.version = version;
   delta.collector = 9;
   delta.seq = 3;
   delta.epoch = 17;
@@ -387,7 +389,7 @@ flow::EvidenceDelta sample_delta(std::uint32_t version) {
     row.subscriber = 0x2000 + i;
     row.label = i % 2;
     row.mask0 = 0x5ULL << (i % 32);
-    row.mask1 = i % 8 == 0 ? (1ULL << 40) : 0;     // mostly absent in v2
+    row.mask1 = i % 8 == 0 ? (1ULL << 40) : 0;     // mostly absent
     row.packets = i % 5 == 0 ? 0x2'0000'0000ULL : 100 + i;
     row.first_seen = i;
     delta.rows.push_back(row);
@@ -396,35 +398,44 @@ flow::EvidenceDelta sample_delta(std::uint32_t version) {
 }
 
 TEST(ScaleDelta, V2RoundTripsSmallerAndPreservesArrivalVersion) {
-  const auto v1_bytes = flow::encode_delta(sample_delta(flow::kDeltaVersion));
-  const auto v2_bytes =
-      flow::encode_delta(sample_delta(flow::kDeltaVersionCompact));
-  EXPECT_LT(v2_bytes.size(), v1_bytes.size());
+  const auto delta = sample_delta();
+  const auto bytes = flow::encode_delta(delta);
+  EXPECT_EQ(bytes[7], 2);  // u32 magic, then big-endian u32 version
+  // Smaller than the fixed 40-byte rows the format replaced.
+  EXPECT_LT(bytes.size(), 49 + 2 * (2 + 8) + 8 + delta.rows.size() * 40);
 
-  flow::EvidenceDelta from_v1, from_v2;
-  ASSERT_TRUE(flow::decode_delta(v1_bytes, from_v1));
-  ASSERT_TRUE(flow::decode_delta(v2_bytes, from_v2));
-  EXPECT_EQ(from_v1.version, flow::kDeltaVersion);
-  EXPECT_EQ(from_v2.version, flow::kDeltaVersionCompact);
-  ASSERT_EQ(from_v1.rows.size(), from_v2.rows.size());
-  for (std::size_t i = 0; i < from_v1.rows.size(); ++i) {
-    EXPECT_EQ(from_v1.rows[i].subscriber, from_v2.rows[i].subscriber);
-    EXPECT_EQ(from_v1.rows[i].mask0, from_v2.rows[i].mask0);
-    EXPECT_EQ(from_v1.rows[i].mask1, from_v2.rows[i].mask1);
-    EXPECT_EQ(from_v1.rows[i].packets, from_v2.rows[i].packets);
-    EXPECT_EQ(from_v1.rows[i].first_seen, from_v2.rows[i].first_seen);
+  flow::EvidenceDelta decoded;
+  ASSERT_TRUE(flow::decode_delta(bytes, decoded));
+  ASSERT_EQ(decoded.rows.size(), delta.rows.size());
+  for (std::size_t i = 0; i < delta.rows.size(); ++i) {
+    EXPECT_EQ(decoded.rows[i].subscriber, delta.rows[i].subscriber);
+    EXPECT_EQ(decoded.rows[i].label, delta.rows[i].label);
+    EXPECT_EQ(decoded.rows[i].mask0, delta.rows[i].mask0);
+    EXPECT_EQ(decoded.rows[i].mask1, delta.rows[i].mask1);
+    EXPECT_EQ(decoded.rows[i].packets, delta.rows[i].packets);
+    EXPECT_EQ(decoded.rows[i].first_seen, delta.rows[i].first_seen);
   }
-  // Canonical: decoded messages re-encode to the bytes they arrived as,
-  // both versions (the fuzzer's round-trip property, pinned here too).
-  EXPECT_EQ(flow::encode_delta(from_v1), v1_bytes);
-  EXPECT_EQ(flow::encode_delta(from_v2), v2_bytes);
+  // Canonical: a decoded message re-encodes to the bytes it arrived as,
+  // version field included (the fuzzer's round-trip property, pinned
+  // here too).
+  EXPECT_EQ(flow::encode_delta(decoded), bytes);
+
+  // Any other version is refused, the retired v1 included.
+  for (const std::uint8_t version : {0, 1, 3}) {
+    auto other = bytes;
+    other[7] = version;
+    std::string error;
+    EXPECT_FALSE(flow::decode_delta(other, decoded, &error))
+        << "version=" << int{version};
+    EXPECT_FALSE(error.empty());
+  }
 }
 
 TEST(ScaleDelta, V2RejectsNonCanonicalWidths) {
   // A v2 row claiming the wide-packets flag for a value that fits 32 bits
   // (or a present-but-zero mask word) would make decode→encode lossy, so
   // the decoder must reject it. Build the bytes by hand from a valid row.
-  auto delta = sample_delta(flow::kDeltaVersionCompact);
+  auto delta = sample_delta();
   delta.rows.resize(1);
   delta.rows[0].mask1 = 0;
   delta.rows[0].packets = 50;

@@ -182,6 +182,35 @@ TEST(TemplatePlan, ExecuteFillsDefaultsAndIgnoresTrailingPartialRecord) {
   }
 }
 
+TEST(TemplatePlan, AppendingManyDatagramsGrowsTheBatchGeometrically) {
+  // Callers append every datagram of a wave into one batch. An exact
+  // reserve per datagram would reallocate every column on every append
+  // (quadratic copying); geometric growth reallocates O(log rows) times.
+  const std::vector<WireField> fields{{kL4DstPort, 2, false},
+                                      {kInPkts, 4, false}};
+  const CompiledPlan plan = compile_netflow_v9(fields);
+  ASSERT_TRUE(plan.fast);
+  const std::array<std::uint8_t, 18> body{0x01, 0xBB, 0, 0, 0, 1,
+                                          0x00, 0x50, 0, 0, 0, 2,
+                                          0x22, 0xB3, 0, 0, 0, 3};
+  constexpr std::size_t kDatagrams = 2000;
+  FlowBatch batch;
+  std::size_t growths = 0;
+  std::size_t capacity = batch.capacity_rows();
+  for (std::size_t d = 0; d < kDatagrams; ++d) {
+    ASSERT_EQ(execute(plan, body, batch), 3u);
+    if (batch.capacity_rows() != capacity) {
+      ++growths;
+      capacity = batch.capacity_rows();
+    }
+  }
+  ASSERT_EQ(batch.size(), 3 * kDatagrams);
+  // log2(6000) < 13; allow a little slack for the first few appends.
+  EXPECT_LE(growths, 16u);
+  EXPECT_EQ(batch.dst_port[3 * 1234 + 2], 0x22B3u);
+  EXPECT_EQ(batch.packets[3 * 1999 + 1], 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Wire-level equivalence: for real exporter traffic, ingest_batch rows
 // must reconstruct bit-for-bit the FlowRecords the reference walk emits.
