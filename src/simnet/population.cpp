@@ -94,17 +94,27 @@ std::shared_ptr<const Population::Block> Population::build_block(
   return block;
 }
 
-std::shared_ptr<const Population::Block> Population::block_for(
-    LineId line) const {
-  const std::uint32_t index = line / kBlockLines;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+std::shared_ptr<const Population::Block> Population::cached_block(
+    std::uint32_t index) const {
   for (CacheSlot& slot : cache_) {
     if (slot.block && slot.index == index) {
       slot.last_use = ++cache_clock_;
       return slot.block;
     }
   }
+  return nullptr;
+}
+
+std::shared_ptr<const Population::Block> Population::block_for(
+    std::uint32_t index) const {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (auto hit = cached_block(index)) return hit;
+  }
   std::shared_ptr<const Block> block = build_block(index);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  // Another thread may have inserted the same block while this one built.
+  if (auto hit = cached_block(index)) return hit;
   cached_bytes_.fetch_add(block->bytes(), std::memory_order_relaxed);
   if (cache_.size() < config_.cache_blocks) {
     cache_.push_back({index, ++cache_clock_, block});
@@ -122,7 +132,7 @@ std::shared_ptr<const Population::Block> Population::block_for(
 }
 
 std::span<const OwnedDevice> Population::devices_of(LineId line) const {
-  std::shared_ptr<const Block> block = block_for(line);
+  std::shared_ptr<const Block> block = block_for(line / kBlockLines);
   const std::span<const OwnedDevice> devices = block->devices_of(line);
   pin_block(this, std::move(block));
   return devices;
@@ -131,14 +141,8 @@ std::span<const OwnedDevice> Population::devices_of(LineId line) const {
 void Population::for_each_active_line(
     const std::function<void(LineId, std::span<const OwnedDevice>)>& fn)
     const {
-  const std::uint32_t blocks =
-      (config_.lines + kBlockLines - 1) / kBlockLines;
-  for (std::uint32_t index = 0; index < blocks; ++index) {
-    const std::shared_ptr<const Block> block =
-        block_for(static_cast<LineId>(index) * kBlockLines);
-    for (const LineId line : block->active) {
-      fn(line, block->devices_of(line));
-    }
+  for (std::uint32_t index = 0; index < block_count(); ++index) {
+    for_each_active_line_in_block(index, fn);
   }
 }
 

@@ -14,8 +14,10 @@
 // Fig. 11) costs O(cache_blocks · kBlockLines) memory regardless of N,
 // while populations up to cache_blocks · kBlockLines lines (256 k at the
 // defaults — larger than every pre-scale workload) stay fully resident and
-// behave exactly like the old materialized CSR. Streaming consumers use
-// for_each_active_line, which walks blocks in order without retaining them.
+// behave exactly like the old materialized CSR. Streaming consumers walk
+// the blocks in order with for_each_active_line, or one block at a time
+// with for_each_active_line_in_block; every walked block enters the LRU
+// like any devices_of miss.
 //
 // Addressing model: each line lives in a regional pool of four /24s shared
 // with 63 neighbours. Identifier rotation (router reboots, daily
@@ -83,11 +85,29 @@ class Population {
   /// should prefer for_each_active_line).
   [[nodiscard]] std::span<const OwnedDevice> devices_of(LineId line) const;
 
+  /// Number of ownership blocks: ceil(line_count / kBlockLines).
+  [[nodiscard]] std::uint32_t block_count() const noexcept {
+    return static_cast<std::uint32_t>(
+        (std::uint64_t{config_.lines} + kBlockLines - 1) / kBlockLines);
+  }
+
   /// Streams every line owning at least one device, ascending, with its
   /// devices. The span is valid only during the callback.
   void for_each_active_line(
       const std::function<void(LineId, std::span<const OwnedDevice>)>& fn)
       const;
+
+  /// Streams the active lines of block `index` (< block_count()),
+  /// ascending, with their devices; the span is valid only during the
+  /// callback. Safe to call from several threads at once, and it pins
+  /// nothing on the calling thread.
+  template <typename Fn>
+  void for_each_active_line_in_block(std::uint32_t index, Fn&& fn) const {
+    const std::shared_ptr<const Block> block = block_for(index);
+    for (const LineId line : block->active) {
+      fn(line, block->devices_of(line));
+    }
+  }
 
   /// Number of lines owning at least one device (computed on first use via
   /// one streaming pass, then cached).
@@ -151,7 +171,12 @@ class Population {
     double penetration = 0.0;
   };
 
-  [[nodiscard]] std::shared_ptr<const Block> block_for(LineId line) const;
+  [[nodiscard]] std::shared_ptr<const Block> block_for(
+      std::uint32_t index) const;
+  /// The cached block `index` with its recency bumped, or null. Caller
+  /// holds cache_mutex_.
+  [[nodiscard]] std::shared_ptr<const Block> cached_block(
+      std::uint32_t index) const;
   [[nodiscard]] std::shared_ptr<const Block> build_block(
       std::uint32_t index) const;
 
@@ -159,10 +184,11 @@ class Population {
   PopulationConfig config_;
   std::vector<Candidate> candidates_;
 
-  // LRU over block index → block; guarded by cache_mutex_. Hot path is a
-  // hash lookup + recency bump; regeneration happens outside the lock is
-  // not needed at this tier (block builds are rare and cheap relative to
-  // the per-line simulation work they feed).
+  // LRU over block index → block; guarded by cache_mutex_. A hit is a
+  // scan of at most cache_blocks slots plus a recency bump. A miss builds
+  // the block outside the lock, so threads walking different blocks build
+  // them in parallel; two threads missing on the same block may both build
+  // it, and the second to insert adopts the first one's copy.
   mutable std::mutex cache_mutex_;
   struct CacheSlot {
     std::uint32_t index = 0;

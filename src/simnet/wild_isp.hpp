@@ -11,10 +11,16 @@
 // Each observation carries ground-truth labels (line, unit, domain) used by
 // the evaluation harness only — the detector itself consumes just the
 // subscriber address and the flow record.
+//
+// Every draw is a pure function of (seed, line, device, hour), so the
+// population's ownership blocks are generated independently: an hour with
+// more than one block is generated on worker threads, one block at a time,
+// and delivered in block order on the calling thread (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "flow/record.hpp"
 #include "simnet/backend.hpp"
@@ -57,6 +63,15 @@ class WildIspSim {
              const DomainRateModel& rates, const WildIspConfig& config);
 
   /// Emits every sampled observation for one hour into `sink`.
+  ///
+  /// Threading: the sink runs on the calling thread only, in ascending
+  /// line order, with the same observations in the same order however many
+  /// CPUs the host has. When the population spans more than one block and
+  /// the host more than one CPU, hardware_concurrency() - 1 worker threads
+  /// generate blocks ahead of the sink (at most two blocks per worker);
+  /// they are started and joined inside this call, also when the sink
+  /// throws, and the exception then reaches the caller. The sink may call
+  /// this object's and the population's other const members.
   void hour_observations(util::HourBin hour, const Sink& sink) const;
 
   /// True when a device instance (line, device index) is in active use in
@@ -78,6 +93,34 @@ class WildIspSim {
   }
 
  private:
+  // Per-hour constants of every line's draws.
+  struct HourDraws {
+    util::HourBin hour = 0;
+    util::DayBin day = 0;
+    double diurnal = 1.0;        ///< hour-of-day activity weight
+    double inv_sampling = 1.0;
+    std::uint64_t hour_ms = 0;
+  };
+
+  [[nodiscard]] HourDraws hour_draws(util::HourBin hour) const;
+
+  /// The unit of device `device_index` of `line`, or null past its end.
+  [[nodiscard]] const DetectionUnit* device_unit(
+      LineId line, std::uint32_t device_index) const;
+
+  /// Emits the hour's observations of one line into `emit`, reusing
+  /// `obs` as scratch. The one copy of the per-line draw logic, shared by
+  /// the inline and the worker paths.
+  template <typename Emit>
+  void emit_line(const HourDraws& draws, LineId line,
+                 std::span<const OwnedDevice> devices, WildObs& obs,
+                 Emit&& emit) const;
+
+  /// Generates blocks on `workers` threads and hands them to `sink` in
+  /// block order on this thread.
+  void emit_blocks_parallel(const HourDraws& draws, unsigned workers,
+                            const Sink& sink) const;
+
   const Backend& backend_;
   const Population& population_;
   const DomainRateModel& rates_;

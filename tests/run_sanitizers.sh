@@ -21,8 +21,10 @@
 # label `serve`: snapshot queries, hot-reloads, and alerts against full
 # ingest, ISSUE 8), the paper-scale suite (ctest label `scale`: the
 # block-cache LRU under cross-thread devices_of pins plus the
-# million-entry evidence-map rehash storm, ISSUE 9), and the sharded
-# detector and streaming-pipeline unit tests.
+# million-entry evidence-map rehash storm, ISSUE 9, and the
+# block-parallel wild-ISP generator's golden sequences, throwing sink and
+# concurrent population reads, tests/generation_test.cpp), and the
+# sharded detector and streaming-pipeline unit tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
