@@ -7,11 +7,12 @@
 //
 // Layout:
 //   - Service endpoints (the hitlist's (IP, port) universe) are interned
-//     to dense u32 endpoint ids at build time. IPv4 endpoints live in a
-//     flat open-addressing table keyed (addr << 16) | port — one
-//     multiplicative hash + usually one probe. IPv6 endpoints route
-//     through net::PrefixTrie (/128 entries, so the longest-prefix match
-//     is exact) to a per-address port list.
+//     to dense u32 endpoint ids at build time, in one flat open-addressing
+//     table for both address families: 24-byte slots {hi, lo, tag, id}
+//     with tag = port << 2 | family code, load factor <= 0.5, linear
+//     probing. A lookup is one multiplicative hash and usually one probe,
+//     for IPv6 as for IPv4. The family is part of the key, so the IPv4
+//     address a.b.c.d never matches the IPv6 address ::a.b.c.d.
 //   - Signatures live in a dense day-major table sig[day * stride + id],
 //     each packing the hitlist Hit as (service << 16) | domain_index.
 //     kNoSig marks (endpoint, day) pairs the hitlist does not cover —
@@ -32,7 +33,6 @@
 #include "core/hitlist.hpp"
 #include "core/intern.hpp"
 #include "core/rules.hpp"
-#include "net/prefix_trie.hpp"
 #include "util/sim_clock.hpp"
 
 namespace haystack::core {
@@ -66,37 +66,11 @@ class SignatureIndex {
   [[nodiscard]] Signature sig_of(const net::IpAddress& ip,
                                  std::uint16_t port,
                                  util::DayBin day) const noexcept {
-    if (day >= days_ || endpoint_count_ == 0) return kNoSig;
-    std::uint32_t id;
-    if (ip.is_v4()) {
-      if (v4_table_.empty()) return kNoSig;
-      const std::uint64_t key =
-          (std::uint64_t{ip.v4_value()} << 16) | port;
-      std::size_t slot =
-          static_cast<std::size_t>((key * kFib) >> v4_shift_);
-      for (;;) {
-        const V4Slot& s = v4_table_[slot];
-        if (s.key == key) {
-          id = s.id;
-          break;
-        }
-        if (s.key == kEmptyKey) return kNoSig;
-        slot = (slot + 1) & v4_mask_;
-      }
-    } else {
-      const auto group = v6_route_.lookup(ip);
-      if (!group) return kNoSig;
-      const auto& ports = v6_ports_[*group];
-      id = kNoSig;
-      for (const auto& [p, pid] : ports) {
-        if (p == port) {
-          id = pid;
-          break;
-        }
-      }
-      if (id == kNoSig) return kNoSig;
-    }
-    return sig_[static_cast<std::size_t>(day) * stride_ + id];
+    // days_ is 0 until build(), which always leaves a non-empty table.
+    if (day >= days_) return kNoSig;
+    const Slot& s = table_[find(ip.hi(), ip.lo(), tag_of(ip, port))];
+    if (s.tag == kEmptyTag) return kNoSig;
+    return sig_[static_cast<std::size_t>(day) * stride_ + s.id];
   }
 
   /// Distinct (IP, port) service endpoints interned.
@@ -109,29 +83,49 @@ class SignatureIndex {
 
  private:
   static constexpr std::uint64_t kFib = 0x9E3779B97F4A7C15ULL;
-  /// Real v4 keys have their top 16 bits clear ((u32 << 16) | u16), so
-  /// all-ones can never collide with one.
-  static constexpr std::uint64_t kEmptyKey = ~0ULL;
+  /// Real tags carry a nonzero family code, so 0 marks an empty slot.
+  static constexpr std::uint32_t kEmptyTag = 0;
+
+  // Key and id in one slot, so a hit costs a single cache touch.
+  struct Slot {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    std::uint32_t tag = kEmptyTag;
+    std::uint32_t id = 0;
+  };
+
+  [[nodiscard]] static std::uint32_t tag_of(const net::IpAddress& ip,
+                                            std::uint16_t port) noexcept {
+    return (std::uint32_t{port} << 2) | (ip.is_v4() ? 1U : 2U);
+  }
+
+  /// The slot holding key (hi, lo, tag), or the empty slot ending its
+  /// probe chain. For IPv4 (hi == 0, lo < 2^32) the mixed key is exactly
+  /// (addr << 18) | tag.
+  [[nodiscard]] std::size_t find(std::uint64_t hi, std::uint64_t lo,
+                                 std::uint32_t tag) const noexcept {
+    const std::uint64_t key = (lo << 18) ^ (lo >> 46) ^ tag ^ (hi * kFib);
+    std::size_t slot = static_cast<std::size_t>((key * kFib) >> shift_);
+    for (;;) {
+      const Slot& s = table_[slot];
+      if (s.tag == tag ? s.lo == lo && s.hi == hi : s.tag == kEmptyTag) {
+        return slot;
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  /// Sizes an empty table of `slots` (a power of two) slots.
+  void reset_table(std::size_t slots);
 
   util::DayBin days_ = 0;
   std::size_t endpoint_count_ = 0;
   std::size_t stride_ = 0;
 
-  // IPv4 endpoints: open-addressing, linear probing, power-of-two size.
-  // Key and id live in one 16-byte slot so a hit costs a single cache
-  // touch (the split key/id arrays cost two on every hit).
-  struct V4Slot {
-    std::uint64_t key = kEmptyKey;
-    std::uint32_t id = 0;
-  };
-  std::vector<V4Slot> v4_table_;
-  std::size_t v4_mask_ = 0;
-  unsigned v4_shift_ = 0;
-
-  // IPv6 endpoints: /128 routes to a per-address (port -> id) list.
-  net::PrefixTrie<std::uint32_t> v6_route_;
-  std::vector<std::vector<std::pair<std::uint16_t, std::uint32_t>>>
-      v6_ports_;
+  // Endpoint table: power-of-two size, load factor <= 0.5.
+  std::vector<Slot> table_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
 
   // Day-major packed signatures; kNoSig where the hitlist has no entry.
   std::vector<Signature> sig_;

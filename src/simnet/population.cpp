@@ -1,6 +1,7 @@
 #include "simnet/population.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "util/hash.hpp"
@@ -21,33 +22,35 @@ constexpr std::uint32_t kRegionAddrSpan = 1024;
 constexpr std::uint64_t kSubscriberSpan = 0x400000;
 
 // Per-thread pins keeping the block behind the last devices_of() span
-// alive across LRU eviction. Keyed by Population identity so tests
-// comparing two instances side by side keep both spans valid.
+// alive, and serving the next devices_of() in the same block without the
+// cache lock. Keyed by a per-instance serial rather than the address, so
+// a Population built where a destroyed one lived never reads its pins;
+// one pin per instance keeps two populations compared side by side valid.
 struct BlockPin {
-  const void* population = nullptr;
+  std::uint64_t population = 0;
+  std::uint32_t index = 0;
   std::shared_ptr<const void> block;
 };
 thread_local std::vector<BlockPin> t_block_pins;
 constexpr std::size_t kMaxPins = 16;
+std::atomic<std::uint64_t> g_next_serial{1};
 
-void pin_block(const void* population, std::shared_ptr<const void> block) {
+BlockPin& pin_of(std::uint64_t population) {
   for (BlockPin& pin : t_block_pins) {
-    if (pin.population == population) {
-      pin.block = std::move(block);
-      return;
-    }
+    if (pin.population == population) return pin;
   }
   if (t_block_pins.size() >= kMaxPins) {
     t_block_pins.erase(t_block_pins.begin());
   }
-  t_block_pins.push_back({population, std::move(block)});
+  return t_block_pins.emplace_back(BlockPin{population, 0, nullptr});
 }
 }  // namespace
 
 Population::Population(const Catalog& catalog,
                        const PopulationConfig& config)
-    : catalog_{catalog}, config_{config} {
-  if (config_.cache_blocks == 0) config_.cache_blocks = 1;
+    : catalog_{catalog},
+      config_{config},
+      serial_{g_next_serial.fetch_add(1, std::memory_order_relaxed)} {
   // Pre-extract the ownership candidates: real products plus virtual
   // wild-extra devices per unit. Order matters: ownership draws consume
   // the per-line RNG stream in exactly this sequence, which is what keeps
@@ -62,7 +65,7 @@ Population::Population(const Catalog& catalog,
       candidates_.push_back({std::nullopt, u.id, u.wild_extra_penetration});
     }
   }
-  cache_.reserve(config_.cache_blocks);
+  resident_.resize(std::min(config_.cache_blocks, block_count()));
 }
 
 std::shared_ptr<const Population::Block> Population::build_block(
@@ -94,48 +97,29 @@ std::shared_ptr<const Population::Block> Population::build_block(
   return block;
 }
 
-std::shared_ptr<const Population::Block> Population::cached_block(
-    std::uint32_t index) const {
-  for (CacheSlot& slot : cache_) {
-    if (slot.block && slot.index == index) {
-      slot.last_use = ++cache_clock_;
-      return slot.block;
-    }
-  }
-  return nullptr;
-}
-
 std::shared_ptr<const Population::Block> Population::block_for(
     std::uint32_t index) const {
+  if (index >= resident_.size()) return build_block(index);
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (auto hit = cached_block(index)) return hit;
+    if (resident_[index]) return resident_[index];
   }
   std::shared_ptr<const Block> block = build_block(index);
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // Another thread may have inserted the same block while this one built.
-  if (auto hit = cached_block(index)) return hit;
-  cached_bytes_.fetch_add(block->bytes(), std::memory_order_relaxed);
-  if (cache_.size() < config_.cache_blocks) {
-    cache_.push_back({index, ++cache_clock_, block});
-  } else {
-    auto victim = std::min_element(
-        cache_.begin(), cache_.end(),
-        [](const CacheSlot& a, const CacheSlot& b) {
-          return a.last_use < b.last_use;
-        });
-    cached_bytes_.fetch_sub(victim->block->bytes(),
-                            std::memory_order_relaxed);
-    *victim = {index, ++cache_clock_, block};
-  }
+  if (resident_[index]) return resident_[index];
+  resident_[index] = block;
   return block;
 }
 
 std::span<const OwnedDevice> Population::devices_of(LineId line) const {
-  std::shared_ptr<const Block> block = block_for(line / kBlockLines);
-  const std::span<const OwnedDevice> devices = block->devices_of(line);
-  pin_block(this, std::move(block));
-  return devices;
+  const std::uint32_t index = line / kBlockLines;
+  BlockPin& pin = pin_of(serial_);
+  if (!pin.block || pin.index != index) {
+    pin.block = block_for(index);
+    pin.index = index;
+  }
+  return static_cast<const Block*>(pin.block.get())->devices_of(line);
 }
 
 void Population::for_each_active_line(
@@ -195,12 +179,13 @@ double Population::device_penetration() const {
 
 std::uint64_t Population::memory_bytes() const {
   std::uint64_t bytes =
-      sizeof(Population) + candidates_.capacity() * sizeof(Candidate);
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    bytes += cache_.capacity() * sizeof(CacheSlot);
+      sizeof(Population) + candidates_.capacity() * sizeof(Candidate) +
+      resident_.capacity() * sizeof(std::shared_ptr<const Block>);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (const std::shared_ptr<const Block>& block : resident_) {
+    if (block) bytes += block->bytes();
   }
-  return bytes + cached_bytes_.load(std::memory_order_relaxed);
+  return bytes;
 }
 
 }  // namespace haystack::simnet

@@ -9,15 +9,17 @@
 // population can be regenerated independently.
 //
 // Nothing is materialized per line. Ownership is regenerated on demand in
-// blocks of kBlockLines lines, held in a small LRU cache of immutable
-// shared blocks (DESIGN.md §12): the paper's 15 M-line ISP (Sec. 6,
+// immutable shared blocks of kBlockLines lines (DESIGN.md §12). Blocks
+// [0, cache_blocks) form a resident prefix: each stays once built, so
+// populations up to cache_blocks · kBlockLines lines (256 k at the
+// defaults — larger than every pre-scale workload) stay fully resident
+// and behave exactly like the old materialized CSR. Higher blocks are
+// built per use and dropped, so the paper's 15 M-line ISP (Sec. 6,
 // Fig. 11) costs O(cache_blocks · kBlockLines) memory regardless of N,
-// while populations up to cache_blocks · kBlockLines lines (256 k at the
-// defaults — larger than every pre-scale workload) stay fully resident and
-// behave exactly like the old materialized CSR. Streaming consumers walk
-// the blocks in order with for_each_active_line, or one block at a time
-// with for_each_active_line_in_block; every walked block enters the LRU
-// like any devices_of miss.
+// and a cyclic walk over N > cache_blocks blocks rebuilds only the
+// N − cache_blocks blocks past the prefix. Streaming consumers walk the
+// blocks in order with for_each_active_line, or one block at a time with
+// for_each_active_line_in_block.
 //
 // Addressing model: each line lives in a regional pool of four /24s shared
 // with 63 neighbours. Identifier rotation (router reboots, daily
@@ -25,7 +27,6 @@
 // which is exactly the effect Fig. 13 smooths by aggregating at /24 level.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,10 +61,11 @@ struct PopulationConfig {
   double daily_rotation_probability = 0.03;
   /// Fraction of lines with IPv6 connectivity.
   double dual_stack_fraction = 0.35;
-  /// Ownership-block LRU capacity. Blocks cover kBlockLines lines each, so
-  /// the default keeps 64 · 4096 = 262 144 lines hot — every pre-scale
-  /// workload fits entirely; a 15 M-line sweep cycles blocks in bounded
-  /// memory.
+  /// Resident ownership blocks: blocks [0, cache_blocks) stay once built.
+  /// Blocks cover kBlockLines lines each, so the default keeps
+  /// 64 · 4096 = 262 144 lines resident — every pre-scale workload fits
+  /// entirely; a 15 M-line sweep rebuilds the blocks above the prefix per
+  /// use, in bounded memory.
   std::uint32_t cache_blocks = 64;
 };
 
@@ -80,8 +82,9 @@ class Population {
   }
 
   /// Devices owned by a line (possibly empty). The span stays valid until
-  /// the calling thread's next devices_of / for_each_active_line call on
-  /// this Population (the thread pins the backing block; streaming callers
+  /// the calling thread's next devices_of call on this Population for a
+  /// line in another block: the thread pins the backing block, and serves
+  /// lines of the pinned block from it without locking (streaming callers
   /// should prefer for_each_active_line).
   [[nodiscard]] std::span<const OwnedDevice> devices_of(LineId line) const;
 
@@ -138,14 +141,14 @@ class Population {
   /// Fraction of lines owning at least one catalog or virtual device.
   [[nodiscard]] double device_penetration() const;
 
-  /// Bytes held by the ownership-block cache plus fixed members — the
-  /// number the streaming design bounds (old CSR: O(lines)).
+  /// Bytes held by the resident blocks plus fixed members — the number
+  /// the streaming design bounds (old CSR: O(lines)).
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
  private:
   // One regenerated ownership block: devices of line (first_line + i) are
   // devices[offsets[i] .. offsets[i+1]). Immutable once built; shared_ptr
-  // so readers outlive eviction.
+  // so readers outlive a non-resident block's use.
   struct Block {
     LineId first_line = 0;
     std::uint32_t line_span = 0;
@@ -173,31 +176,23 @@ class Population {
 
   [[nodiscard]] std::shared_ptr<const Block> block_for(
       std::uint32_t index) const;
-  /// The cached block `index` with its recency bumped, or null. Caller
-  /// holds cache_mutex_.
-  [[nodiscard]] std::shared_ptr<const Block> cached_block(
-      std::uint32_t index) const;
   [[nodiscard]] std::shared_ptr<const Block> build_block(
       std::uint32_t index) const;
 
   const Catalog& catalog_;
   PopulationConfig config_;
   std::vector<Candidate> candidates_;
+  /// Distinct per instance; keys the calling thread's block pin.
+  std::uint64_t serial_;
 
-  // LRU over block index → block; guarded by cache_mutex_. A hit is a
-  // scan of at most cache_blocks slots plus a recency bump. A miss builds
-  // the block outside the lock, so threads walking different blocks build
-  // them in parallel; two threads missing on the same block may both build
-  // it, and the second to insert adopts the first one's copy.
+  // Resident prefix: slot i holds block i once built (i < cache_blocks),
+  // guarded by cache_mutex_; the vector itself is sized at construction
+  // and never resized. A miss builds the block outside the lock, so
+  // threads walking different blocks build them in parallel; two threads
+  // missing on the same block may both build it, and the second to insert
+  // adopts the first one's copy.
   mutable std::mutex cache_mutex_;
-  struct CacheSlot {
-    std::uint32_t index = 0;
-    std::uint64_t last_use = 0;
-    std::shared_ptr<const Block> block;
-  };
-  mutable std::vector<CacheSlot> cache_;
-  mutable std::uint64_t cache_clock_ = 0;
-  mutable std::atomic<std::uint64_t> cached_bytes_{0};
+  mutable std::vector<std::shared_ptr<const Block>> resident_;
 
   // active_line_count / device_penetration are one full streaming pass;
   // computed once on demand.

@@ -5,7 +5,8 @@
 // This suite pins that sequence:
 //
 //   - golden digests over every WildObs field, in emission order, for a
-//     six-block population whose 2-block cache evicts and rebuilds blocks,
+//     six-block population whose 2-block resident prefix leaves four
+//     blocks rebuilt on every use,
 //     a one-block population and a zero-line population, over hours 22-25
 //     (a day boundary, so addresses and backend IPs roll over). The
 //     constants were recorded from the single-threaded generator;
@@ -113,7 +114,7 @@ TEST_P(GoldenSequence, EveryFieldInOrder) {
   const Digest d = sequence_digest(world.wild);
   EXPECT_EQ(d.count, g.count);
   EXPECT_EQ(d.hash, g.hash) << std::hex << "0x" << d.hash;
-  // A second pass over warm (or, at 2 cache blocks, churned) blocks.
+  // A second pass over warm (or, past a 2-block prefix, rebuilt) blocks.
   const Digest again = sequence_digest(world.wild);
   EXPECT_EQ(again.count, d.count);
   EXPECT_EQ(again.hash, d.hash);
@@ -176,7 +177,8 @@ TEST(GenerationRobustness, ThrowingSinkReachesCallerAndLeavesNoWorker) {
 
 TEST(GenerationRobustness, SinkReadsPopulationWhileBlocksBuild) {
   const World world{kMultiBlockLines, 2};
-  // Every lookup goes through the 2-block cache the generator also fills.
+  // Lookups share the 2-block resident prefix with the generator; blocks
+  // past it are built per use, on this thread and on the workers.
   struct Read {
     simnet::LineId line;
     util::HourBin hour;

@@ -20,7 +20,8 @@
 # aggregator offer/query, ISSUE 7), the live control plane suite (ctest
 # label `serve`: snapshot queries, hot-reloads, and alerts against full
 # ingest, ISSUE 8), the paper-scale suite (ctest label `scale`: the
-# block-cache LRU under cross-thread devices_of pins plus the
+# resident block prefix and the lock-free devices_of pin path under
+# cross-thread reads plus the
 # million-entry evidence-map rehash storm, ISSUE 9, and the
 # block-parallel wild-ISP generator's golden sequences, throwing sink and
 # concurrent population reads, tests/generation_test.cpp), and the
@@ -53,7 +54,7 @@ run_tsan() {
   (cd build-tsan && ctest --output-on-failure -j "${jobs}" -L serve)
   (cd build-tsan && ctest --output-on-failure -j "${jobs}" -L scale)
   (cd build-tsan && ctest --output-on-failure -j "${jobs}" \
-    -R "Sharded|Queue|Ingest|Streaming")
+    -R "Sharded|Queue|Ingest|Streaming|Population|SignatureIndex")
 }
 
 case "${mode}" in

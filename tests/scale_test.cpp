@@ -12,7 +12,9 @@
 //     pre-PR generation inline so a regression in the lazy path cannot
 //     hide behind a shared helper;
 //   - a 15M-line population (the paper's ISP) stays inside 100.64.0.0/10
-//     and inside the bounded block-cache memory budget;
+//     and inside the bounded block-cache memory budget; a walk over more
+//     blocks than the cache holds keeps the resident prefix, and
+//     devices_of past it reuses the thread's pinned block;
 //   - FlatEvidenceMap at a million entries: the ≤0.5 load-factor
 //     invariant (the `>=` growth fix), memory_bytes() accounting, and
 //     iteration completeness across every rehash step;
@@ -23,7 +25,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -93,8 +97,9 @@ class StreamingVsMaterialized
 TEST_P(StreamingVsMaterialized, OwnershipBitForBit) {
   const std::uint32_t lines = GetParam();
   const simnet::Catalog catalog;
-  // A tiny cache forces eviction/regeneration even at 10k lines, so the
-  // comparison exercises rebuilt blocks, not just first-build ones.
+  // A 2-block resident prefix leaves blocks rebuilt per use even at 10k
+  // lines, so the comparison exercises rebuilt blocks, not just
+  // first-build ones.
   const simnet::Population population{
       catalog, {.seed = 99, .lines = lines, .cache_blocks = 2}};
   const ReferenceCsr ref = build_reference(catalog, 99, lines);
@@ -197,6 +202,69 @@ TEST(ScalePopulation, BlockCacheMemoryStaysBounded) {
   // under 4 MiB; the old CSR held ~15M offsets + ~5M devices (>100 MiB).
   EXPECT_LT(peak, 4u << 20);
   EXPECT_GT(peak, 0u);
+}
+
+TEST(ScalePopulation, ResidentPrefixSurvivesCyclicWalk) {
+  // 300 k lines = 74 blocks against 64 resident ones: every walk covers
+  // more blocks than the cache holds, as the isp-study loop does hourly.
+  const simnet::Catalog catalog;
+  const simnet::Population population{catalog, {.lines = 300'000}};
+  ASSERT_EQ(population.config().cache_blocks, 64u);
+  ASSERT_EQ(population.block_count(), 74u);
+  const auto ignore = [](simnet::LineId, std::span<const simnet::OwnedDevice>) {};
+
+  // This thread's pin holds the first copy of block 0, so a rebuilt copy
+  // can never land at the same address.
+  const simnet::OwnedDevice* const first = population.devices_of(0).data();
+  population.for_each_active_line(ignore);
+  const std::uint64_t after_one_walk = population.memory_bytes();
+  population.for_each_active_line(ignore);
+  EXPECT_EQ(population.memory_bytes(), after_one_walk);
+  // A thread with no pin must get block 0 from the cache, not a rebuild.
+  const simnet::OwnedDevice* again = nullptr;
+  std::thread([&] { again = population.devices_of(0).data(); }).join();
+  EXPECT_EQ(again, first);
+
+  // Past the resident prefix, sequential devices_of calls are served from
+  // one block per run of kBlockLines lines: consecutive spans are
+  // adjacent slices of one device array.
+  for (const std::uint32_t index : {64u, 70u, 73u}) {
+    const simnet::LineId begin = index * simnet::Population::kBlockLines;
+    const simnet::LineId end = std::min<simnet::LineId>(
+        begin + simnet::Population::kBlockLines, population.line_count());
+    std::span<const simnet::OwnedDevice> prev = population.devices_of(begin);
+    for (simnet::LineId line = begin + 1; line < end; ++line) {
+      const std::span<const simnet::OwnedDevice> cur =
+          population.devices_of(line);
+      ASSERT_EQ(cur.data(), prev.data() + prev.size()) << "line " << line;
+      prev = cur;
+    }
+  }
+  EXPECT_EQ(population.memory_bytes(), after_one_walk);
+}
+
+TEST(ScalePopulation, PinsNeverOutliveTheirPopulation) {
+  // A Population built in the storage of a destroyed one must not serve
+  // devices_of from the block the old one pinned on this thread.
+  const simnet::Catalog catalog;
+  const simnet::Population reference{catalog, {.seed = 7, .lines = 10'000}};
+  std::optional<simnet::Population> population;
+  population.emplace(catalog,
+                     simnet::PopulationConfig{.seed = 6, .lines = 10'000});
+  (void)population->devices_of(0);
+  population.reset();
+  population.emplace(catalog,
+                     simnet::PopulationConfig{.seed = 7, .lines = 10'000});
+  for (simnet::LineId line = 0; line < simnet::Population::kBlockLines;
+       ++line) {
+    const auto devices = population->devices_of(line);
+    const auto expected = reference.devices_of(line);
+    ASSERT_EQ(devices.size(), expected.size()) << "line " << line;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+      ASSERT_EQ(devices[i].unit, expected[i].unit) << "line " << line;
+      ASSERT_EQ(devices[i].product, expected[i].product) << "line " << line;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
