@@ -210,6 +210,24 @@ void ShardedDetector::flush_pending() const {
   for (std::size_t s = 0; s < pending_.size(); ++s) flush_shard_locked(s);
 }
 
+void ShardedDetector::append_locked(std::size_t s, const InternedObs* first,
+                                    const InternedObs* last) const {
+  while (first != last) {
+    std::vector<InternedObs>& pending = pending_[s];
+    const auto take = std::min<std::size_t>(
+        static_cast<std::size_t>(last - first),
+        kCoalesceItems - pending.size());
+    pending.insert(pending.end(), first, first + take);
+    first += take;
+    if (pending.size() >= kCoalesceItems) {
+      Chunk full{version_.load(), std::move(pending), /*publish=*/false};
+      pending = {};
+      pending.reserve(kCoalesceItems);
+      submit_locked(s, std::move(full));
+    }
+  }
+}
+
 void ShardedDetector::observe(const Observation& obs) {
   const auto ver = current_version();
   std::uint64_t hits = 0;
@@ -223,77 +241,95 @@ void ShardedDetector::observe(const Observation& obs) {
     return;
   }
   std::lock_guard lock{pending_mu_};
-  pending_[s].push_back(interned);
-  if (pending_[s].size() >= kCoalesceItems) {
-    Chunk full{version_.load(),
-               std::move(pending_[s]), /*publish=*/false};
-    pending_[s] = {};
-    pending_[s].reserve(kCoalesceItems);
-    submit_locked(s, std::move(full));
+  append_locked(s, &interned, &interned + 1);
+}
+
+namespace {
+
+/// Producer-side routing scratch. One per thread, reused across calls,
+/// so the enqueue paths allocate nothing once it has grown to the
+/// largest batch the thread enqueues. A call fills and consumes it
+/// before returning, so detectors sharing a thread never see each
+/// other's contents.
+struct Routing {
+  std::vector<InternedObs> interned;  ///< enqueue_batch's resolved input
+  std::vector<std::uint64_t> misses;  ///< per shard
+  std::vector<std::size_t> begin;     ///< per shard + 1: run offsets
+  std::vector<std::size_t> fill;      ///< scatter cursors
+  std::vector<InternedObs> grouped;   ///< matches, grouped by shard
+};
+
+thread_local Routing t_routing;
+
+}  // namespace
+
+bool ShardedDetector::route_and_append(
+    std::span<const InternedObs> batch,
+    const CompiledRuleVersion* resolved_under) {
+  // Partition outside the lock: shard routing, the miss filter (misses
+  // carry no evidence, only a flow count) and a stable counting scatter
+  // of the matches into one contiguous run per shard. Only the appends
+  // — and the kCoalesceItems flushes they trigger — run under
+  // pending_mu_, all in one critical section, so concurrent producers'
+  // batches stay totally ordered and per-subscriber FIFO holds. Queue
+  // traffic is proportional to coalesced flushes, not to producer chunk
+  // boundaries, and on wild traffic — where roughly half the flows miss
+  // the hitlist — the shard queues carry only matches.
+  const std::size_t n = shards_.size();
+  Routing& r = t_routing;
+  r.misses.assign(n, 0);
+  r.begin.assign(n + 1, 0);
+  for (const InternedObs& o : batch) {
+    const std::size_t s = shard_of(o.subscriber);
+    if (o.sig == kNoSig) {
+      ++r.misses[s];
+    } else {
+      ++r.begin[s + 1];
+    }
   }
+  for (std::size_t s = 0; s < n; ++s) r.begin[s + 1] += r.begin[s];
+  r.fill.assign(r.begin.begin(), r.begin.end() - 1);
+  r.grouped.resize(r.begin[n]);
+  for (const InternedObs& o : batch) {
+    if (o.sig != kNoSig) r.grouped[r.fill[shard_of(o.subscriber)]++] = o;
+  }
+  {
+    std::lock_guard lock{pending_mu_};
+    // reload_rules swaps the version under this lock after flushing, so
+    // everything pending must have been resolved under the current one.
+    if (resolved_under != nullptr && version_.load().get() != resolved_under) {
+      return false;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      append_locked(s, r.grouped.data() + r.begin[s],
+                    r.grouped.data() + r.begin[s + 1]);
+    }
+  }
+  bump_sig_counters(batch.size(), r.begin[n]);
+  for (std::size_t s = 0; s < n; ++s) count_misses(s, r.misses[s]);
+  return true;
 }
 
 void ShardedDetector::enqueue_batch(std::span<const Observation> batch) {
   if (batch.empty()) return;
-  const std::size_t n = shards_.size();
-  const auto ver = current_version();
-  std::uint64_t hits = 0;
-  std::vector<std::uint64_t> misses(n, 0);
-  // Partition preserving per-subscriber order, filtering misses at the
-  // boundary (they carry no evidence — only a flow count) and coalescing
-  // the matching minority into the per-shard pending chunks. Queue
-  // traffic is then proportional to kCoalesceItems flushes, not to
-  // producer chunk boundaries, and on wild traffic — where roughly half
-  // the flows miss the hitlist — the shard queues carry only matches.
-  {
-    std::lock_guard lock{pending_mu_};
+  // Resolve signatures outside the lock; the sig counters are bumped by
+  // route_and_append. A reload that lands meanwhile makes it refuse the
+  // batch, which is then resolved again under the new version.
+  std::vector<InternedObs>& interned = t_routing.interned;
+  for (;;) {
+    const auto ver = current_version();
+    interned.clear();
+    std::uint64_t hits = 0;
     for (const auto& obs : batch) {
-      const InternedObs interned = intern_obs(*ver->index, obs, hits);
-      const auto s = shard_of(obs.subscriber);
-      if (interned.sig == kNoSig) {
-        ++misses[s];
-        continue;
-      }
-      pending_[s].push_back(interned);
-      if (pending_[s].size() >= kCoalesceItems) {
-        Chunk full{version_.load(),
-                   std::move(pending_[s]), /*publish=*/false};
-        pending_[s] = {};
-        pending_[s].reserve(kCoalesceItems);
-        submit_locked(s, std::move(full));
-      }
+      interned.push_back(intern_obs(*ver->index, obs, hits));
     }
+    if (route_and_append(interned, ver.get())) return;
   }
-  bump_sig_counters(batch.size(), hits);
-  for (std::size_t s = 0; s < n; ++s) count_misses(s, misses[s]);
 }
 
 void ShardedDetector::enqueue_interned(std::span<const InternedObs> batch) {
   if (batch.empty()) return;
-  const std::size_t n = shards_.size();
-  std::uint64_t hits = 0;
-  std::vector<std::uint64_t> misses(n, 0);
-  {
-    std::lock_guard lock{pending_mu_};
-    for (const auto& o : batch) {
-      const auto s = shard_of(o.subscriber);
-      if (o.sig == kNoSig) {
-        ++misses[s];
-        continue;
-      }
-      hits += 1;
-      pending_[s].push_back(o);
-      if (pending_[s].size() >= kCoalesceItems) {
-        Chunk full{version_.load(),
-                   std::move(pending_[s]), /*publish=*/false};
-        pending_[s] = {};
-        pending_[s].reserve(kCoalesceItems);
-        submit_locked(s, std::move(full));
-      }
-    }
-  }
-  bump_sig_counters(batch.size(), hits);
-  for (std::size_t s = 0; s < n; ++s) count_misses(s, misses[s]);
+  route_and_append(batch, nullptr);
 }
 
 void ShardedDetector::process_batch(std::span<const Observation> batch) {

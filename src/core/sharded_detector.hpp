@@ -298,7 +298,8 @@ class ShardedDetector {
   /// drain/flush/token). Queue and worker-wakeup traffic then scales with
   /// flushes instead of with producer chunk boundaries. Per-subscriber
   /// FIFO is unaffected: appends are totally ordered by the mutex and a
-  /// flush preserves append order.
+  /// flush preserves append order. Routing and miss counting happen
+  /// before the lock (route_and_append); only appends run under it.
   static constexpr std::size_t kCoalesceItems = 4096;
 
   /// Per-shard worker-owned state (only the owning worker touches it
@@ -319,6 +320,19 @@ class ShardedDetector {
   void flush_pending() const;
   void flush_shard_locked(std::size_t s) const;
   void submit_locked(std::size_t s, Chunk chunk) const;
+  /// Appends [first, last) to shard `s`'s pending buffer, submitting a
+  /// chunk each time the buffer reaches kCoalesceItems.
+  void append_locked(std::size_t s, const InternedObs* first,
+                     const InternedObs* last) const;
+
+  /// Shared body of the enqueue paths: partitions `batch` into per-shard
+  /// runs of matches outside pending_mu_, then appends the runs in one
+  /// critical section and counts hits and misses. When `resolved_under`
+  /// is non-null and is no longer the current version (a reload landed
+  /// after the caller resolved the signatures), appends nothing and
+  /// returns false.
+  bool route_and_append(std::span<const InternedObs> batch,
+                        const CompiledRuleVersion* resolved_under);
 
   /// Worker-side: wave handler and view publication.
   void handle_wave(unsigned s, std::vector<Chunk>& wave);

@@ -8,6 +8,13 @@
 // are refused, consumers keep draining until the queue is empty and then
 // see end-of-stream (nullopt / 0). reopen() supports restart-after-drain.
 //
+// Hand-offs are meant to be per wave, not per item: a stage that produced
+// several items in one wave passes them with push_many(), which takes the
+// lock once and wakes a sleeping consumer once per call (once per
+// room-wait when the wave does not fit). A per-item push() against a
+// consumer that is faster than its producer turns every item into a
+// futex wake, which costs about as much as the item's own work.
+//
 // Every queue keeps its own telemetry::StageStats (depth, throughput,
 // producer/consumer stalls, adaptive-batch waves) so a deployment can see
 // exactly which stage is the bottleneck. A queue may additionally carry an
@@ -22,6 +29,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -44,23 +52,42 @@ class BoundedQueue {
 
   /// Blocks while the queue is full (backpressure). Returns false — and
   /// drops the item — when the queue is closed.
-  bool push(T item) {
+  bool push(T item) { return push_many(std::span<T>{&item, 1}) == 1; }
+
+  /// Pushes `items` in order, moving from them. Items go in under one
+  /// lock acquisition as far as room allows; when the queue fills, the
+  /// consumer is woken once for what went in and the call blocks for
+  /// room (one producer stall per wait), then continues. Returns the
+  /// number of leading items accepted: fewer than items.size() means the
+  /// queue was closed, and the rest were dropped untouched. An accepted
+  /// item is delivered exactly once, like one accepted by push().
+  std::size_t push_many(std::span<T> items) {
+    std::size_t done = 0;
     std::unique_lock lock{mu_};
-    if (items_.size() >= capacity_ && !closed_) {
-      ++stats_.producer_stalls;
-      if (recorder_ != nullptr) {
-        recorder_->record(obs::EventKind::kBackpressureStall, stage_tag_,
-                          items_.size());
+    while (done < items.size()) {
+      if (items_.size() >= capacity_ && !closed_) {
+        ++stats_.producer_stalls;
+        if (recorder_ != nullptr) {
+          recorder_->record(obs::EventKind::kBackpressureStall, stage_tag_,
+                            items_.size());
+        }
+        not_full_.wait(lock,
+                       [&] { return items_.size() < capacity_ || closed_; });
       }
-      not_full_.wait(lock,
-                     [&] { return items_.size() < capacity_ || closed_; });
+      if (closed_) break;
+      const std::size_t n =
+          std::min(items.size() - done, capacity_ - items_.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        items_.push_back(std::move(items[done + i]));
+      }
+      done += n;
+      stats_.enqueued += n;
+      stats_.max_depth = std::max(stats_.max_depth, items_.size());
+      // One wake per batch of items; notify_all so that with several
+      // consumers each can claim part of it.
+      not_empty_.notify_all();
     }
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    ++stats_.enqueued;
-    stats_.max_depth = std::max(stats_.max_depth, items_.size());
-    not_empty_.notify_one();
-    return true;
+    return done;
   }
 
   /// Blocks while the queue is empty. nullopt means closed and fully

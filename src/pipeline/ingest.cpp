@@ -99,9 +99,10 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
   meter_obs_ = make_stage(obs::kStageMeter);
   decode_obs_ = make_stage(obs::kStageDecode);
   normalize_obs_ = make_stage(obs::kStageNormalize);
-  auto stage_config = [this](const StageInstruments& inst, std::uint32_t tag) {
+  auto stage_config = [this](const StageInstruments& inst, std::uint32_t tag,
+                             std::size_t capacity) {
     ShardPoolConfig stage{.shards = 1,
-                         .queue_capacity = config_.queue_capacity,
+                         .queue_capacity = capacity,
                          .max_wave = config_.max_wave};
     stage.wave_ns = inst.wave_ns.get();
     stage.wave_items = inst.wave_items.get();
@@ -110,16 +111,25 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
     stage.slow_wave_ns = config_.slow_wave_ns;
     return stage;
   };
+  // Row bound: a normalize item carries one decode wave's rows, at most
+  // min(max_wave, queue_capacity) datagrams (a wave never claims more than
+  // its queue holds). Dividing the capacity by that keeps the rows the
+  // normalize queue can buffer within queue_capacity datagrams' worth.
+  const std::size_t capacity =
+      std::max<std::size_t>(1, config_.queue_capacity);
+  const std::size_t wave_datagrams =
+      std::min(capacity, std::max<std::size_t>(1, config_.max_wave));
   normalize_ = std::make_unique<ShardPool<DecodedBatch>>(
-      stage_config(normalize_obs_, obs::kStageNormalize),
+      stage_config(normalize_obs_, obs::kStageNormalize,
+                   std::max<std::size_t>(1, capacity / wave_datagrams)),
       [this](unsigned, std::vector<DecodedBatch>& wave) {
         normalize_wave(wave);
       });
   decode_ = std::make_unique<ShardPool<Datagram>>(
-      stage_config(decode_obs_, obs::kStageDecode),
+      stage_config(decode_obs_, obs::kStageDecode, config_.queue_capacity),
       [this](unsigned, std::vector<Datagram>& wave) { decode_wave(wave); });
   metering_ = std::make_unique<ShardPool<MeterItem>>(
-      stage_config(meter_obs_, obs::kStageMeter),
+      stage_config(meter_obs_, obs::kStageMeter, config_.queue_capacity),
       [this](unsigned, std::vector<MeterItem>& wave) { meter_wave(wave); });
 }
 
@@ -189,8 +199,9 @@ void IngestPipeline::shutdown() {
   if (!meter_rows_) meter_rows_ = arena_.acquire();
   cache_.flush_all(*meter_rows_);
   cache_depth_->set(cache_.active_flows());
-  emit_metered(std::move(meter_rows_),
-               last_meter_hour_.load(std::memory_order_relaxed));
+  std::vector<DecodedBatch> out;
+  close_metered(last_meter_hour_.load(std::memory_order_relaxed), out);
+  normalize_->submit_many(0, out);
   decode_->stop();
   normalize_->stop();
   detector_.drain();  // detect stage stays alive for reads
@@ -199,43 +210,64 @@ void IngestPipeline::shutdown() {
 }
 
 void IngestPipeline::meter_wave(std::vector<MeterItem>& wave) {
+  // Expired rows accumulate across the wave, one batch per run of equal
+  // hour (a row takes the hour of the packet whose add expired it), and
+  // the wave's batches go downstream in one submit_many.
+  std::vector<DecodedBatch> out;
+  util::HourBin hour = wave.front().hour;
   for (const MeterItem& item : wave) {
     last_meter_hour_.store(item.hour, std::memory_order_relaxed);
+    if (item.hour != hour) {
+      close_metered(hour, out);
+      hour = item.hour;
+    }
     if (!meter_rows_) meter_rows_ = arena_.acquire();
+    const std::size_t before = meter_rows_->size();
     cache_.add(item.packet, *meter_rows_);
     const std::uint64_t panics = cache_.emergency_expiries();
     if (panics != last_emergency_expiries_) {
       emergency_expiries_->add(panics - last_emergency_expiries_);
       obs_->recorder.record(obs::EventKind::kCacheEmergencyExpiry,
-                            obs::kStageMeter, meter_rows_->size(),
+                            obs::kStageMeter, meter_rows_->size() - before,
                             panics - last_emergency_expiries_);
       last_emergency_expiries_ = panics;
     }
     const std::size_t depth = cache_.active_flows();
     cache_depth_->set(depth);
     cache_high_water_->max_of(depth);
-    if (!meter_rows_->empty()) {
-      emit_metered(std::move(meter_rows_), item.hour);
-    }
   }
+  close_metered(hour, out);
+  normalize_->submit_many(0, out);
 }
 
-void IngestPipeline::emit_metered(flow::BatchArena::Lease rows,
-                                  util::HourBin hour) {
-  if (!rows || rows->empty()) return;
-  metered_flows_->add(rows->size());
+void IngestPipeline::close_metered(util::HourBin hour,
+                                   std::vector<DecodedBatch>& out) {
+  if (!meter_rows_ || meter_rows_->empty()) return;
+  metered_flows_->add(meter_rows_->size());
   std::uint64_t packets = 0;
-  for (const std::uint64_t p : rows->packets) packets += p;
+  for (const std::uint64_t p : meter_rows_->packets) packets += p;
   metered_packets_out_->add(packets);
-  normalize_->submit(0, DecodedBatch{hour, std::move(rows)});
+  out.push_back(DecodedBatch{hour, std::move(meter_rows_)});
 }
 
 void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
+  // The wave's datagrams append into one leased batch per run of equal
+  // hour, and the wave's batches go downstream in one submit_many: one
+  // normalize-queue lock and one consumer wake per wave, not per
+  // datagram.
+  std::vector<DecodedBatch> out;
+  flow::BatchArena::Lease rows;
+  util::HourBin hour = 0;
+  std::uint64_t decoded = 0;
   std::vector<flow::FlowRecord> v5_scratch;
   [[maybe_unused]] std::uint64_t wave_ns = 0;
-  [[maybe_unused]] std::uint64_t wave_rows = 0;
   for (const Datagram& dgram : wave) {
-    auto rows = arena_.acquire();
+    if (rows && !rows->empty() && dgram.hour != hour) {
+      out.push_back(DecodedBatch{hour, std::move(rows)});
+    }
+    if (!rows) rows = arena_.acquire();
+    hour = dgram.hour;
+    const std::size_t before = rows->size();
     bool ok = false;
     [[maybe_unused]] std::chrono::steady_clock::time_point t0;
     if constexpr (!obs::kStripped) t0 = std::chrono::steady_clock::now();
@@ -262,16 +294,21 @@ void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
-      wave_rows += rows->size();
     }
     if (!ok) malformed_->add(1);
-    if (rows->empty()) continue;
-    flows_decoded_->add(rows->size());
-    normalize_->submit(0, DecodedBatch{dgram.hour, std::move(rows)});
+    decoded += rows->size() - before;
   }
-  if constexpr (!obs::kStripped) {
-    if (wave_rows != 0) decode_ns_per_record_->record(wave_ns / wave_rows);
+  if (rows && !rows->empty()) {
+    out.push_back(DecodedBatch{hour, std::move(rows)});
   }
+  if (decoded != 0) {
+    flows_decoded_->add(decoded);
+    // Per record: the wave's decode time over the rows it appended.
+    if constexpr (!obs::kStripped) {
+      decode_ns_per_record_->record(wave_ns / decoded);
+    }
+  }
+  normalize_->submit_many(0, out);
   decode_recovered_->set(static_cast<std::int64_t>(
       nf9_.stats().recovered_records + ipfix_.stats().recovered_records));
   decode_parked_->set(static_cast<std::int64_t>(
@@ -279,12 +316,17 @@ void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
 }
 
 void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
+  // The whole wave becomes one chunk and one detector enqueue: rows keep
+  // their order, and each observation carries its own hour.
+  std::size_t rows_in_wave = 0;
+  for (const DecodedBatch& batch : wave) rows_in_wave += batch.rows->size();
   if (fast_normalize_) {
     // Stock-normalizer fast path: read SoA columns straight into interned
     // observations — no FlowRecord, no core::Observation, no second
     // hitlist hash downstream. Exactly equivalent to the generic path
     // below under default_normalizer (which never drops a flow).
     std::vector<core::InternedObs> chunk;
+    chunk.reserve(rows_in_wave);
     // Pin the compiled rule version for this wave (ISSUE 8): a hot-reload
     // mid-wave must not swap the index under us, and a version pinned
     // here stays alive until the wave's observations are applied.
@@ -294,25 +336,22 @@ void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
     for (const DecodedBatch& batch : wave) {
       const flow::FlowBatch& rows = *batch.rows;
       const util::DayBin day = util::day_of(batch.hour);
-      chunk.clear();
-      chunk.reserve(rows.size());
       for (std::size_t i = 0; i < rows.size(); ++i) {
         chunk.push_back(core::InternedObs{
             telemetry::anonymize(rows.src[i], key), rows.packets[i],
             sig_index.sig_of(rows.dst[i], rows.dst_port[i], day),
             batch.hour});
       }
-      if (chunk.empty()) continue;
-      observations_->add(chunk.size());
-      detector_.enqueue_interned(chunk);
     }
+    if (chunk.empty()) return;
+    observations_->add(chunk.size());
+    detector_.enqueue_interned(chunk);
     return;
   }
   std::vector<core::Observation> chunk;
+  chunk.reserve(rows_in_wave);
   for (const DecodedBatch& batch : wave) {
     const flow::FlowBatch& rows = *batch.rows;
-    chunk.clear();
-    chunk.reserve(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (auto obs = normalizer_(rows.record(i), batch.hour)) {
         chunk.push_back(*obs);
@@ -320,10 +359,10 @@ void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
         dropped_direction_->add(1);
       }
     }
-    if (chunk.empty()) continue;
-    observations_->add(chunk.size());
-    detector_.enqueue_batch(chunk);
   }
+  if (chunk.empty()) return;
+  observations_->add(chunk.size());
+  detector_.enqueue_batch(chunk);
 }
 
 IngestPipeline::Stats IngestPipeline::stats() const {

@@ -59,8 +59,12 @@ using Normalizer = std::function<std::optional<core::Observation>(
 
 struct IngestConfig {
   unsigned shards = 4;
-  /// Per-stage queue capacity, in items (datagrams / flow batches /
-  /// observation chunks respectively).
+  /// Per-stage queue capacity, in items: datagrams / packets for the
+  /// decode and metering queues, observation chunks per detect shard.
+  /// The normalize queue carries one wave's rows per item, so its
+  /// capacity is derived: queue_capacity / min(max_wave, queue_capacity)
+  /// items (at least 1), which keeps the rows it buffers within
+  /// queue_capacity datagrams' worth.
   std::size_t queue_capacity = 1024;
   /// Adaptive-batching bound per consumer wake-up.
   std::size_t max_wave = 64;
@@ -202,8 +206,9 @@ class IngestPipeline {
     util::HourBin hour = 0;
     std::vector<std::uint8_t> bytes;
   };
-  /// Normalize-queue item (ISSUE 6): an arena-leased SoA batch. The lease
-  /// is released (batch returns to arena_'s pool) when the item is
+  /// Normalize-queue item (ISSUE 6): an arena-leased SoA batch holding
+  /// the rows of one upstream wave (a run of equal hour within it). The
+  /// lease is released (batch returns to arena_'s pool) when the item is
   /// consumed, so rows never outlive a wave.
   struct DecodedBatch {
     util::HourBin hour = 0;
@@ -213,7 +218,10 @@ class IngestPipeline {
   void meter_wave(std::vector<MeterItem>& wave);
   void decode_wave(std::vector<Datagram>& wave);
   void normalize_wave(std::vector<DecodedBatch>& wave);
-  void emit_metered(flow::BatchArena::Lease rows, util::HourBin hour);
+  /// Moves the metered rows accumulated in meter_rows_ into `out` as one
+  /// normalize item tagged `hour` (nothing when empty), counting them as
+  /// metered output.
+  void close_metered(util::HourBin hour, std::vector<DecodedBatch>& out);
 
   IngestConfig config_;
   /// True when running the stock normalizer: normalize reads SoA columns
@@ -259,7 +267,8 @@ class IngestPipeline {
 
   // Metering-stage state (touched only by the metering worker, except the
   // post-stop flush in shutdown()). meter_rows_ is the lazily-acquired
-  // scratch lease expired flows accumulate into between emissions.
+  // lease expired flows accumulate into until the end of the wave (or of
+  // a run of equal hour), when it moves downstream.
   flow::FlowCache cache_;
   flow::BatchArena::Lease meter_rows_;
   std::atomic<std::uint32_t> last_meter_hour_{0};

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -87,10 +88,22 @@ class ShardPool {
   /// Blocking submit with backpressure. Returns false when the pool is
   /// stopped (the item is dropped).
   bool submit(unsigned shard, Item item) {
+    return submit_many(shard, std::span<Item>{&item, 1});
+  }
+
+  /// Blocking submit of a wave of items, in order, through one
+  /// BoundedQueue::push_many (one lock, one consumer wake per call or per
+  /// room-wait). Moves from the accepted items. Returns false when the
+  /// pool was stopped before every item was accepted; the refused tail
+  /// is dropped, and what was accepted is still handled exactly once.
+  bool submit_many(unsigned shard, std::span<Item> items) {
+    if (items.empty()) return true;
     ShardState& st = state_[shard];
-    st.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (queues_[shard]->push(std::move(item))) return true;
-    st.submitted.fetch_sub(1, std::memory_order_relaxed);  // refused
+    st.submitted.fetch_add(items.size(), std::memory_order_relaxed);
+    const std::size_t accepted = queues_[shard]->push_many(items);
+    if (accepted == items.size()) return true;
+    st.submitted.fetch_sub(items.size() - accepted,
+                           std::memory_order_relaxed);  // refused tail
     return false;
   }
 

@@ -2,6 +2,7 @@
 // of seeds, sizes, and configuration values rather than at single points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -361,6 +362,75 @@ INSTANTIATE_TEST_SUITE_P(
                       QueueCase{7, 8, false}, QueueCase{64, 4, false},
                       QueueCase{64, 8, true}, QueueCase{1024, 2, true},
                       QueueCase{1024, 8, false}));
+
+// push_many delivery properties: producers hand over waves of random
+// size — often larger than the queue's free room, sometimes larger than
+// the whole capacity — and every item must still arrive exactly once, in
+// per-producer order, while the queue never holds more than its capacity.
+
+struct PushManyCase {
+  std::size_t capacity;
+  unsigned producers;
+  std::size_t max_wave;  ///< producer waves are 1..max_wave items
+};
+
+class PushManyQueueProperty : public ::testing::TestWithParam<PushManyCase> {
+};
+
+TEST_P(PushManyQueueProperty, ExactlyOnceInPerProducerOrder) {
+  const PushManyCase c = GetParam();
+  constexpr std::uint64_t kPerProducer = 3000;
+  pipeline::BoundedQueue<std::uint64_t> queue{c.capacity};
+
+  std::vector<std::thread> producers;
+  for (unsigned p = 0; p < c.producers; ++p) {
+    producers.emplace_back([&queue, &c, p] {
+      util::Pcg32 rng{0x51u, p};
+      std::vector<std::uint64_t> wave;
+      std::uint64_t next = 0;
+      while (next < kPerProducer) {
+        const std::uint64_t n = std::min<std::uint64_t>(
+            kPerProducer - next,
+            1 + rng.bounded(static_cast<std::uint32_t>(c.max_wave)));
+        wave.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+          wave.push_back((std::uint64_t{p} << 32) | (next + i));
+        }
+        ASSERT_EQ(queue.push_many(wave), n);
+        next += n;
+      }
+    });
+  }
+
+  std::vector<std::uint64_t> next_seq(c.producers, 0);
+  std::uint64_t received = 0;
+  std::vector<std::uint64_t> wave;
+  while (received < c.producers * kPerProducer) {
+    wave.clear();
+    ASSERT_GT(queue.pop_wave(wave, 5), 0u);
+    for (const auto item : wave) {
+      const auto p = static_cast<unsigned>(item >> 32);
+      ASSERT_LT(p, c.producers);
+      ASSERT_EQ(item & 0xffffffffu, next_seq[p]) << "producer " << p;
+      ++next_seq[p];
+      ++received;
+    }
+  }
+  for (auto& t : producers) t.join();
+
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.enqueued, c.producers * kPerProducer);
+  EXPECT_EQ(stats.dequeued, c.producers * kPerProducer);
+  EXPECT_LE(stats.max_depth, queue.capacity());
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Queues, PushManyQueueProperty,
+    ::testing::Values(PushManyCase{1, 1, 8}, PushManyCase{1, 4, 3},
+                      PushManyCase{3, 2, 16}, PushManyCase{7, 4, 7},
+                      PushManyCase{16, 3, 64}, PushManyCase{64, 4, 16},
+                      PushManyCase{1024, 2, 64}));
 
 }  // namespace
 }  // namespace haystack

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <tuple>
@@ -97,6 +98,114 @@ TEST(BoundedQueueStress, CloseMidStreamDrainsWithoutDeadlock) {
   const auto stats = queue.stats();
   EXPECT_EQ(stats.enqueued, stats.dequeued);
   EXPECT_FALSE(queue.push(1));  // stays closed
+}
+
+/// Polls `done` until it holds, for at most ten seconds (sanitizer builds
+/// are slow); returns its last value.
+template <typename Pred>
+bool eventually(Pred done) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(BoundedQueueStress, PushManyLargerThanRoomBlocksUntilDrained) {
+  // A wave of 20 items into a queue with room for 4: the call must fill
+  // the queue, block for room, and complete only as the consumer drains,
+  // with every item delivered once and in order.
+  BoundedQueue<int> queue{4};
+  std::vector<int> wave(20);
+  for (int i = 0; i < 20; ++i) wave[static_cast<std::size_t>(i)] = i;
+  std::atomic<bool> returned{false};
+  std::size_t accepted = 0;
+  std::thread producer{[&] {
+    accepted = queue.push_many(wave);
+    returned.store(true);
+  }};
+  ASSERT_TRUE(eventually([&] { return queue.stats().producer_stalls >= 1; }));
+  EXPECT_EQ(queue.depth(), 4u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());  // still waiting for room
+
+  std::vector<int> got;
+  std::vector<int> popped;
+  while (got.size() < 20) {
+    popped.clear();
+    ASSERT_GT(queue.pop_wave(popped, 3), 0u);
+    got.insert(got.end(), popped.begin(), popped.end());
+  }
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(accepted, 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.enqueued, 20u);
+  EXPECT_EQ(stats.dequeued, 20u);
+  EXPECT_GE(stats.producer_stalls, 1u);
+  EXPECT_LE(stats.max_depth, 4u);
+}
+
+TEST(BoundedQueueStress, CloseDuringBlockedPushManyRefusesTheRest) {
+  // close() while a push_many is blocked on a full queue: the call must
+  // return short (the refused tail dropped), and the consumer must drain
+  // exactly the accepted prefix, each item once.
+  BoundedQueue<int> queue{3};
+  std::vector<int> wave(10);
+  for (int i = 0; i < 10; ++i) wave[static_cast<std::size_t>(i)] = i;
+  std::size_t accepted = 0;
+  std::thread producer{[&] { accepted = queue.push_many(wave); }};
+  ASSERT_TRUE(eventually([&] { return queue.stats().producer_stalls >= 1; }));
+  // Take one item so the producer pushes one more and blocks again.
+  std::vector<int> got;
+  ASSERT_GT(queue.pop_wave(got, 1), 0u);
+  ASSERT_TRUE(eventually([&] { return queue.stats().producer_stalls >= 2; }));
+  queue.close();
+  producer.join();
+  EXPECT_EQ(accepted, 4u);  // 3 fitted, 1 more after the pop
+  std::vector<int> rest;
+  while (queue.pop_wave(rest, 16) != 0) {
+  }
+  got.insert(got.end(), rest.begin(), rest.end());
+  ASSERT_EQ(got.size(), accepted);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], static_cast<int>(i));
+  }
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.enqueued, accepted);
+  EXPECT_EQ(stats.dequeued, accepted);
+  EXPECT_EQ(queue.push_many(wave), 0u);  // stays closed
+}
+
+TEST(ShardPoolStress, SubmitManyIsOrderedAndRefusedWhenStopped) {
+  // Waves bigger than the shard queue are handled in submission order and
+  // counted by the drain barrier; a stopped pool refuses a wave whole.
+  std::vector<int> handled;  // written by the single shard worker only
+  ShardPool<int> pool{{.shards = 1, .queue_capacity = 4, .max_wave = 3},
+                      [&](unsigned, std::vector<int>& wave) {
+                        handled.insert(handled.end(), wave.begin(),
+                                       wave.end());
+                      }};
+  std::vector<int> wave;
+  int next = 0;
+  for (int round = 0; round < 50; ++round) {
+    wave.clear();
+    for (int i = 0; i < 1 + round % 9; ++i) wave.push_back(next++);
+    ASSERT_TRUE(pool.submit_many(0, wave));
+  }
+  pool.drain();
+  ASSERT_EQ(handled.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) {
+    EXPECT_EQ(handled[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(pool.stats_total().enqueued, static_cast<std::uint64_t>(next));
+  pool.stop();
+  wave.assign({1, 2, 3});
+  EXPECT_FALSE(pool.submit_many(0, wave));
+  pool.start();
+  pool.drain();  // the refused wave left no debt behind
+  EXPECT_EQ(handled.size(), static_cast<std::size_t>(next));
 }
 
 TEST(ShardPoolStress, DrainIsAQuiescenceBarrier) {
