@@ -327,9 +327,11 @@ void ShardedDetector::enqueue_batch(std::span<const Observation> batch) {
   }
 }
 
-void ShardedDetector::enqueue_interned(std::span<const InternedObs> batch) {
-  if (batch.empty()) return;
-  route_and_append(batch, nullptr);
+bool ShardedDetector::enqueue_interned(
+    std::span<const InternedObs> batch,
+    const CompiledRuleVersion* resolved_under) {
+  if (batch.empty()) return true;
+  return route_and_append(batch, resolved_under);
 }
 
 void ShardedDetector::process_batch(std::span<const Observation> batch) {

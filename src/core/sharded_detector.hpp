@@ -140,7 +140,13 @@ class ShardedDetector {
   /// Streaming path for observations whose hitlist lookup was already
   /// resolved at the decode boundary (pipeline fast path). Identical
   /// semantics to enqueue_batch on the equivalent Observation stream.
-  void enqueue_interned(std::span<const InternedObs> batch);
+  /// A producer that resolved `sig` under a pinned version passes it as
+  /// `resolved_under`: if a reload has replaced that version meanwhile,
+  /// nothing is appended and the call returns false, and the producer
+  /// resolves again under current_version() (signatures of one rule set
+  /// must not apply under another's).
+  bool enqueue_interned(std::span<const InternedObs> batch,
+                        const CompiledRuleVersion* resolved_under = nullptr);
 
   /// Single-observation path, routed through the owning shard's queue —
   /// safe to call concurrently with process_batch/enqueue_batch from any

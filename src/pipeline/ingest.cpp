@@ -327,25 +327,32 @@ void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
     // below under default_normalizer (which never drops a flow).
     std::vector<core::InternedObs> chunk;
     chunk.reserve(rows_in_wave);
-    // Pin the compiled rule version for this wave (ISSUE 8): a hot-reload
-    // mid-wave must not swap the index under us, and a version pinned
-    // here stays alive until the wave's observations are applied.
-    const auto version = detector_.current_version();
-    const core::SignatureIndex& sig_index = *version->index;
     const std::uint64_t key = config_.anonymization_key;
-    for (const DecodedBatch& batch : wave) {
-      const flow::FlowBatch& rows = *batch.rows;
-      const util::DayBin day = util::day_of(batch.hour);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        chunk.push_back(core::InternedObs{
-            telemetry::anonymize(rows.src[i], key), rows.packets[i],
-            sig_index.sig_of(rows.dst[i], rows.dst_port[i], day),
-            batch.hour});
+    auto resolve = [&](const core::SignatureIndex& sig_index) {
+      chunk.clear();
+      for (const DecodedBatch& batch : wave) {
+        const flow::FlowBatch& rows = *batch.rows;
+        const util::DayBin day = util::day_of(batch.hour);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          chunk.push_back(core::InternedObs{
+              telemetry::anonymize(rows.src[i], key), rows.packets[i],
+              sig_index.sig_of(rows.dst[i], rows.dst_port[i], day),
+              batch.hour});
+        }
       }
-    }
+    };
+    // Pin the compiled rule version for this wave: a hot-reload mid-wave
+    // must not swap the index under us. If one lands before the enqueue,
+    // the detector refuses the chunk and the wave is resolved again under
+    // the new version.
+    auto version = detector_.current_version();
+    resolve(*version->index);
     if (chunk.empty()) return;
     observations_->add(chunk.size());
-    detector_.enqueue_interned(chunk);
+    while (!detector_.enqueue_interned(chunk, version.get())) {
+      version = detector_.current_version();
+      resolve(*version->index);
+    }
     return;
   }
   std::vector<core::Observation> chunk;

@@ -206,7 +206,7 @@ class IngestPipeline {
     util::HourBin hour = 0;
     std::vector<std::uint8_t> bytes;
   };
-  /// Normalize-queue item (ISSUE 6): an arena-leased SoA batch holding
+  /// Normalize-queue item: an arena-leased SoA batch holding
   /// the rows of one upstream wave (a run of equal hour within it). The
   /// lease is released (batch returns to arena_'s pool) when the item is
   /// consumed, so rows never outlive a wave.

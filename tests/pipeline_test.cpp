@@ -459,10 +459,11 @@ TEST_F(PipelineTest, StreamingNormalizeBacklogBoundedInRows) {
 
   // With the normalize worker stalled, a producer pushing far more than
   // fits must be held back once the normalize queue, the decode worker's
-  // wave and the decode queue are full: decoded datagrams then sit in the
-  // normalize worker's claimed wave (at most `capacity` items), in its
-  // queue (at most `capacity` items) and in the decode worker's hand (one
-  // wave), each item at most one wave of datagrams.
+  // wave and the decode queue are full. Decoded rows then sit in the
+  // normalize worker's claimed wave and in its queue (at most
+  // queue_capacity datagrams' worth each) and in the decode worker's hand
+  // (one wave). The bound is in rows: datagrams that decode to no rows
+  // (templates, options) take no normalize item.
   constexpr std::uint64_t kKey = 0x5eed;
   telemetry::BorderFleetConfig fcfg;
   fcfg.routers = 3;
@@ -486,6 +487,17 @@ TEST_F(PipelineTest, StreamingNormalizeBacklogBoundedInRows) {
   const std::size_t capacity = pipe.stats().normalize.capacity;
   ASSERT_EQ(capacity, 2u);
   ASSERT_GE(stream.size(), 100u);
+  std::size_t max_rows = 0;  // per datagram
+  {
+    flow::nf9::Collector collector{
+        flow::nf9::CollectorConfig{.dedup_window = cfg.dedup_window}};
+    for (const auto& [hour, bytes] : stream) {
+      std::vector<flow::FlowRecord> decoded;
+      (void)collector.ingest(bytes, decoded);
+      max_rows = std::max(max_rows, decoded.size());
+    }
+  }
+  ASSERT_GT(max_rows, 0u);
 
   std::thread producer{[&] {
     for (auto& [hour, bytes] : stream) {
@@ -501,10 +513,10 @@ TEST_F(PipelineTest, StreamingNormalizeBacklogBoundedInRows) {
   gate.open();
   producer.join();
   ASSERT_TRUE(held);
-  const std::size_t decoded_datagrams = s.datagrams - s.decode.depth;
   EXPECT_LE(s.normalize.max_depth, capacity);
-  EXPECT_LE(decoded_datagrams,
-            capacity * cfg.max_wave * 2 + cfg.max_wave);  // 20, vs 100+ pushed
+  EXPECT_LE(s.flows_decoded - s.observations,
+            (2 * cfg.queue_capacity + cfg.max_wave) * max_rows)
+      << "20 datagrams' worth, of 100+ pushed";
 
   pipe.shutdown();
   const auto done = pipe.stats();

@@ -423,6 +423,39 @@ TEST(ServeReload, CutoverRetagsAndChangesEvaluation) {
   EXPECT_DOUBLE_EQ(det.config().threshold, 0.25);
 }
 
+// Signatures resolved under one version must not be applied under
+// another: enqueue_interned refuses a batch whose pinned version a reload
+// has replaced, and takes it once resolved under the current one.
+TEST(ServeReload, StaleInternedBatchIsRefused) {
+  core::RuleSet rules;
+  core::DetectionRule rule;
+  rule.service = 0;
+  rule.name = "svc0";
+  rule.level = core::Level::kManufacturer;
+  rule.monitored_domains = 1;
+  rule.monitored_indices.push_back(0);
+  rules.rules.push_back(rule);
+  rules.hitlist.add(service_ip(0, 0), 443, 0, {0, 0});
+
+  core::ShardedDetector det{rules.hitlist, rules, {.threshold = 1.0}, 4};
+  const auto pinned = det.current_version();
+  const std::vector<core::InternedObs> batch{
+      {7, 3, pinned->index->sig_of(service_ip(0, 0), 443, 0), 0}};
+  ASSERT_NE(batch[0].sig, core::kNoSig);
+
+  det.reload_rules(std::make_shared<const core::RuleSet>(rules),
+                   {.threshold = 1.0});
+  EXPECT_FALSE(det.enqueue_interned(batch, pinned.get()));
+  det.drain();
+  EXPECT_EQ(det.stats().flows, 0U);
+
+  const auto current = det.current_version();
+  EXPECT_TRUE(det.enqueue_interned(batch, current.get()));
+  det.drain();
+  EXPECT_EQ(det.stats().flows, 1U);
+  EXPECT_TRUE(det.detected(7, 0));
+}
+
 // Concurrent reloads serialize by version id: the highest id wins the
 // producer side and every shard converges to it.
 TEST(ServeReload, ConcurrentReloadsConvergeToHighestVersion) {
